@@ -2,7 +2,8 @@
 
 Both backends run the same fixed-step workloads (no stop rule, so the work
 is identical either way).  `--compare` re-launches this script in two child
-processes, one per backend, and prints a small table with the speedup.
+processes, one per backend, and prints a small table with the speedup; when
+numba is not installed both children run numpy, so only that column is shown.
 
     python3 benchmarks/bench_sim.py --compare
     POPGAMES_NO_NUMBA=1 python3 benchmarks/bench_sim.py
@@ -73,13 +74,19 @@ def compare(args) -> None:
         rows[payload["backend"]] = payload["results"]
     print(f"population {args.population}, {args.steps} steps per run, "
           f"best of {args.repeats}")
-    header = f"{'workload':<10} " + "".join(f"{b:>12}" for b in rows) + f"{'speedup':>10}"
-    print(header)
+    both = len(rows) == 2
+    header = f"{'workload':<10} " + "".join(f"{b:>12}" for b in rows)
+    print(header + (f"{'speedup':>10}" if both else ""))
     for name in WORKLOADS:
         times = [rows[b][name] for b in rows]
         cells = "".join(f"{t:>11.3f}s" for t in times)
-        speedup = times[1] / times[0] if times[0] > 0 else float("inf")
-        print(f"{name:<10} {cells}{speedup:>9.1f}x")
+        if both:
+            speedup = times[1] / times[0] if times[0] > 0 else float("inf")
+            cells += f"{speedup:>9.1f}x"
+        print(f"{name:<10} {cells}")
+    if not both:
+        (missing,) = {"numba", "numpy"} - set(rows)
+        print(f"{missing} backend not available: no comparison")
 
 
 def main(argv=None) -> int:

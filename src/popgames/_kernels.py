@@ -26,7 +26,7 @@ NUMBA_ENABLED = os.environ.get("POPGAMES_NO_NUMBA", "") != "1"
 if NUMBA_ENABLED:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is an install dependency
+    except ImportError:  # numba is the optional `fast` extra
         NUMBA_ENABLED = False
 
 if not NUMBA_ENABLED:

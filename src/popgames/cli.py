@@ -36,6 +36,7 @@ from .pavcheck import (
 )
 from .sim import InteractionGraph, StatsReport, monte_carlo
 from .verify import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     PredicateError,
     Verdict,
@@ -47,7 +48,13 @@ from .verify import (
 
 def default_budget() -> int:
     raw = os.environ.get("POPGAMES_BUDGET", "")
-    return int(raw) if raw.isdigit() else 500_000
+    if not raw:
+        return DEFAULT_BUDGET
+    if not raw.isdigit():
+        raise ProtocolError(
+            f"POPGAMES_BUDGET must be a non-negative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ configurations for restricted interaction graphs live in :mod:`popgames.sim`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 
@@ -72,9 +72,6 @@ class Protocol:
             return self.states.index(state)
         except ValueError:
             raise ProtocolError(f"unknown state {state!r}") from None
-
-    def successor_pairs(self, q1: int, q2: int) -> frozenset[Pair]:
-        return self.rules[(q1, q2)]
 
     def is_identity_pair(self, q1: int, q2: int) -> bool:
         return self.rules[(q1, q2)] == frozenset({(q1, q2)})
@@ -241,3 +238,61 @@ def histogram(protocol: Protocol, vertex_states: Iterable[int]) -> Config:
         _check_state(q, protocol.state_count)
         counts[q] += 1
     return tuple(counts)
+
+
+def strongly_connected_components(
+    adjacency: Mapping[Hashable, Sequence[Hashable]],
+) -> list[list[Hashable]]:
+    """Iterative Tarjan over an adjacency mapping; SCCs in found order.
+
+    Every successor must itself be a key.  Components come out in reverse
+    topological order of the condensation: no component has an arc into a
+    later one.  Roots and arcs are visited in mapping and sequence order, so
+    the output is deterministic for a deterministic mapping.
+    """
+    index: dict[Hashable, int] = {}
+    lowlink: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
+    components: list[list[Hashable]] = []
+    counter = 0
+
+    for root in adjacency:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            neighbors = adjacency[v]
+            while ei < len(neighbors):
+                w = neighbors[ei]
+                ei += 1
+                if w not in index:
+                    work[-1] = (v, ei)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if lowlink[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(component)
+            if work:
+                parent, _ = work[-1]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return components

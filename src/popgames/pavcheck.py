@@ -15,7 +15,13 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
-from .core import Protocol, ProtocolError, is_deterministic, symmetry_violation
+from .core import (
+    Protocol,
+    ProtocolError,
+    is_deterministic,
+    strongly_connected_components,
+    symmetry_violation,
+)
 from .games import ALL_TIES, Game, derive_protocol
 
 EXACT = "exact"
@@ -195,14 +201,15 @@ def solve_order_constraints(
     for u, v in sorted(system.nonstrict | system.strict, key=_edge_key):
         adjacency[u].append(v)
 
-    comp_of = _tarjan_scc(adjacency)
+    components = strongly_connected_components(adjacency)
+    comp_of = {v: ci for ci, comp in enumerate(components) for v in comp}
 
     for u, v in sorted(system.strict, key=_edge_key):
         if comp_of[u] == comp_of[v]:
             return _certificate(system, adjacency, comp_of, u, v)
 
     # Condensation DAG with strictness flags on the edges.
-    comp_count = max(comp_of.values()) + 1
+    comp_count = len(components)
     cond: dict[int, set[tuple[int, bool]]] = {c: set() for c in range(comp_count)}
     indeg = [0] * comp_count
     seen_edges: set[tuple[int, int, bool]] = set()
@@ -230,55 +237,6 @@ def solve_order_constraints(
                 queue.append(d)
 
     return {v: rank[comp_of[v]] for v in system.variables}
-
-
-def _tarjan_scc(adjacency: dict[Var, list[Var]]) -> dict[Var, int]:
-    """Iterative Tarjan; components numbered in reverse topological order."""
-    index: dict[Var, int] = {}
-    lowlink: dict[Var, int] = {}
-    on_stack: set[Var] = set()
-    stack: list[Var] = []
-    comp_of: dict[Var, int] = {}
-    counter = 0
-    comp_id = 0
-
-    for root in adjacency:
-        if root in index:
-            continue
-        work: list[tuple[Var, int]] = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while ei < len(adjacency[v]):
-                w = adjacency[v][ei]
-                ei += 1
-                if w not in index:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_of[w] = comp_id
-                    if w == v:
-                        break
-                comp_id += 1
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return comp_of
 
 
 def _certificate(

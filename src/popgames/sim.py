@@ -306,20 +306,6 @@ def _drive(
 # stop rules in protocol terms
 
 
-def stop_silent(protocol: Protocol, config: Sequence[int]) -> bool:
-    """True iff every applicable ordered pair maps only to itself."""
-    n = protocol.state_count
-    for q1 in range(n):
-        if config[q1] == 0:
-            continue
-        for q2 in range(n):
-            if config[q2] == 0 or (q1 == q2 and config[q1] < 2):
-                continue
-            if protocol.rules[(q1, q2)] != frozenset({(q1, q2)}):
-                return False
-    return True
-
-
 def stop_output_window(protocol: Protocol, trace: Sequence[Config], window: int) -> bool:
     """True iff the last `window` configurations all carry the same defined output."""
     if window < 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
     config_to_dict,
     initial_config,
     output_of_config,
+    strongly_connected_components,
     successors,
 )
 from .pavcheck import EXACT, NotPavlovian, Witness, check_pavlovian
@@ -406,59 +407,9 @@ def full_vertex_graph(
     return ConfigGraph(root=None, nodes=nodes, parents={})
 
 
-def _tarjan(nodes: Mapping[tuple, tuple]) -> list[list[tuple]]:
-    """Iterative Tarjan over an adjacency mapping; SCCs in found order."""
-    index: dict[tuple, int] = {}
-    lowlink: dict[tuple, int] = {}
-    on_stack: set[tuple] = set()
-    stack: list[tuple] = []
-    components: list[list[tuple]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            neighbors = nodes[v]
-            while ei < len(neighbors):
-                w = neighbors[ei]
-                ei += 1
-                if w not in index:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def bottom_sccs(graph: ConfigGraph) -> list[frozenset]:
     """SCCs of the condensation with no outgoing arc, in deterministic order."""
-    components = _tarjan(graph.nodes)
+    components = strongly_connected_components(graph.nodes)
     comp_of: dict[tuple, int] = {}
     for ci, comp in enumerate(components):
         for node in comp:
@@ -555,6 +506,43 @@ def _as_predicate(predicate) -> PredicateExpr:
     return parse_predicate(predicate) if isinstance(predicate, str) else predicate
 
 
+def _check_bottoms(
+    protocol: Protocol,
+    cases: Iterable[tuple[tuple[tuple[str, int], ...], Config, int]],
+    measure: Callable[[Config], int | None],
+    property_name: str,
+    sizes: tuple[int, ...],
+    budget: int,
+) -> Verdict:
+    """Explore each (input, initial configuration, expected value) case in
+    order; the case fails at the first bottom-SCC configuration, scanning the
+    SCCs in `bottom_sccs` order and each one sorted, whose `measure` differs
+    from the expected value."""
+    results = []
+    for label, init, expected in cases:
+        graph = reachable(protocol, init, budget)
+        cex = None
+        for config in (c for scc in bottom_sccs(graph) for c in sorted(scc)):
+            actual = measure(config)
+            if actual != expected:
+                cex = Counterexample(
+                    config=config,
+                    path=graph.path_to(config),
+                    expected=expected,
+                    actual=actual,
+                    property=property_name,
+                )
+                break
+        results.append(
+            InputResult(input=label, passed=cex is None, counterexample=cex)
+        )
+    return Verdict(
+        passed=all(r.passed for r in results),
+        per_input=tuple(results),
+        sizes=sizes,
+    )
+
+
 def stably_computes(
     protocol: Protocol,
     predicate,
@@ -575,38 +563,22 @@ def stably_computes(
         )
     sizes = _check_sizes(sizes)
     alphabet = protocol.input_alphabet
-    results = []
-    for n in sizes:
-        for counts in _compositions(n, len(alphabet)):
-            multiset = dict(zip(alphabet, counts))
-            expected = eval_predicate(expr, multiset)
-            graph = reachable(protocol, initial_config(protocol, multiset), budget)
-            cex = None
-            for scc in bottom_sccs(graph):
-                for config in sorted(scc):
-                    actual = output_of_config(protocol, config)
-                    if actual != expected:
-                        cex = Counterexample(
-                            config=config,
-                            path=graph.path_to(config),
-                            expected=expected,
-                            actual=actual,
-                            property="output",
-                        )
-                        break
-                if cex is not None:
-                    break
-            results.append(
-                InputResult(
-                    input=tuple(zip(alphabet, counts)),
-                    passed=cex is None,
-                    counterexample=cex,
-                )
-            )
-    return Verdict(
-        passed=all(r.passed for r in results),
-        per_input=tuple(results),
-        sizes=sizes,
+
+    def cases():
+        for n in sizes:
+            for counts in _compositions(n, len(alphabet)):
+                multiset = dict(zip(alphabet, counts))
+                expected = eval_predicate(expr, multiset)
+                init = initial_config(protocol, multiset)
+                yield tuple(zip(alphabet, counts)), init, expected
+
+    return _check_bottoms(
+        protocol,
+        cases(),
+        lambda config: output_of_config(protocol, config),
+        "output",
+        sizes,
+        budget,
     )
 
 
@@ -629,42 +601,23 @@ def stable_leader(
     pool = tuple(initial_states) if initial_states is not None else protocol.states
     pool_idx = [protocol.index(s) for s in pool]
     sizes = _check_sizes(sizes)
-    results = []
-    for n in sizes:
-        for pool_counts in _compositions(n, len(pool)):
-            init = [0] * protocol.state_count
-            for i, c in zip(pool_idx, pool_counts):
-                init[i] += c
-            init = tuple(init)
-            if sum(init[i] for i in leader_idx) < 1:
-                continue
-            graph = reachable(protocol, init, budget)
-            cex = None
-            for scc in bottom_sccs(graph):
-                for config in sorted(scc):
-                    leaders = sum(config[i] for i in leader_idx)
-                    if leaders != 1:
-                        cex = Counterexample(
-                            config=config,
-                            path=graph.path_to(config),
-                            expected=1,
-                            actual=leaders,
-                            property="leader-count",
-                        )
-                        break
-                if cex is not None:
-                    break
-            results.append(
-                InputResult(
-                    input=tuple(zip(pool, pool_counts)),
-                    passed=cex is None,
-                    counterexample=cex,
-                )
-            )
-    return Verdict(
-        passed=all(r.passed for r in results),
-        per_input=tuple(results),
-        sizes=sizes,
+
+    def cases():
+        for n in sizes:
+            for pool_counts in _compositions(n, len(pool)):
+                init = [0] * protocol.state_count
+                for i, c in zip(pool_idx, pool_counts):
+                    init[i] += c
+                if sum(init[i] for i in leader_idx) >= 1:
+                    yield tuple(zip(pool, pool_counts)), tuple(init), 1
+
+    return _check_bottoms(
+        protocol,
+        cases(),
+        lambda config: leader_count(protocol, config, leader_states),
+        "leader-count",
+        sizes,
+        budget,
     )
 
 

@@ -325,9 +325,10 @@ def test_verify_budget_env(tmp_path, capsys, monkeypatch):
         capsys, "verify", path, "--predicate", "n_1 >= 1", "--sizes", "3..3")
     assert code == 3
     monkeypatch.setenv("POPGAMES_BUDGET", "not-a-number")
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "verify", path, "--predicate", "n_1 >= 1", "--sizes", "3..3")
-    assert code == 0
+    assert code == 2
+    assert "POPGAMES_BUDGET" in err and "not-a-number" in err
 
 
 # ---------------------------------------------------------------------------

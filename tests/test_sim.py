@@ -11,7 +11,6 @@ from popgames import (
     monte_carlo,
     run,
     stop_output_window,
-    stop_silent,
 )
 from popgames.core import histogram
 from popgames.sim import InteractionGraph, counts_to_vertex_states
@@ -200,12 +199,16 @@ def test_callable_stop_sees_trace_prefix():
 
 
 def test_stop_silent_predicate():
+    def silent(protocol, config):
+        # the silent stop rule is checked before the step budget
+        return run(protocol, config, max_steps=0).stabilized
+
     maj = builtin("majority")
-    assert stop_silent(maj, config_of(maj, {"Y": 3, "0": 1}))
-    assert not stop_silent(maj, config_of(maj, {"0": 1, "1": 1}))
+    assert silent(maj, config_of(maj, {"Y": 3, "0": 1}))
+    assert not silent(maj, config_of(maj, {"0": 1, "1": 1}))
     lp = builtin("leader-pavlovian")
-    assert not stop_silent(lp, config_of(lp, {"L1": 1, "N": 2}))
-    assert stop_silent(builtin("or"), (4, 0))
+    assert not silent(lp, config_of(lp, {"L1": 1, "N": 2}))
+    assert silent(builtin("or"), (4, 0))
 
 
 def test_stop_output_window_trivial_cases():
