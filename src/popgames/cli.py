@@ -1,9 +1,13 @@
 """Command-line surface: file I/O, reports, and the exit-code contract.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage or parse
-error, 3 resource budget exceeded.  POPGAMES_BUDGET overrides the default
-node/candidate budget.  Verification reports always state the population
-sizes they covered; nothing is claimed beyond them.
+error, 3 resource budget exceeded.  `verify` and `search` take one budget:
+--budget, else POPGAMES_BUDGET, else verify.DEFAULT_BUDGET; in `search` that
+one value gates the candidate count and every exploration.  Verification
+reports always state the population sizes they covered; nothing is claimed
+beyond them.  `simulate` checks the stop rule before the step budget (so
+--max-steps 0 reports a silent start as stabilized) and rejects a negative
+--max-steps and a disconnected --graph file.
 """
 
 from __future__ import annotations
@@ -46,7 +50,12 @@ from .verify import (
 )
 
 
-def default_budget() -> int:
+def resolve_budget(args) -> int:
+    """--budget, else POPGAMES_BUDGET, else DEFAULT_BUDGET."""
+    if args.budget is not None:
+        if args.budget < 0:
+            raise ProtocolError(f"--budget must be >= 0, got {args.budget}")
+        return args.budget
     raw = os.environ.get("POPGAMES_BUDGET", "")
     if not raw:
         return DEFAULT_BUDGET
@@ -317,7 +326,7 @@ def _print_verdict(args, protocol: Protocol, verdict: Verdict) -> int:
 def cmd_verify(args) -> int:
     protocol = parse_protocol(_read(args.file))
     sizes = _parse_sizes(args.sizes)
-    budget = args.budget if args.budget is not None else default_budget()
+    budget = resolve_budget(args)
     given = [spec for spec in (args.predicate, args.leaders) if spec]
     if len(given) != 1:
         raise ProtocolError("exactly one of --predicate / --leaders is required")
@@ -345,7 +354,7 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_search(args) -> int:
-    budget = args.budget if args.budget is not None else default_budget()
+    budget = resolve_budget(args)
     sizes = _parse_sizes(args.sizes)
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
     findings = []
@@ -356,7 +365,6 @@ def cmd_search(args) -> int:
         mode=args.mode,
         budget=budget,
         alphabet=alphabet,
-        node_budget=default_budget(),
     ):
         entry = {
             "name": protocol.name,

@@ -88,8 +88,9 @@ def format_rational(value: Fraction) -> str:
 def parse_protocol(text: str) -> Protocol:
     name: str | None = None
     states: tuple[str, ...] | None = None
-    input_pairs: list[tuple[str, str]] = []
-    output_pairs: list[tuple[str, str]] = []
+    # (left, right, (line, column)) per binding, checked once states are known
+    input_pairs: list[tuple[str, str, tuple[int, int]]] = []
+    output_pairs: list[tuple[str, str, tuple[int, int]]] = []
     rules: list[tuple[str, str, str, str]] = []
 
     for lineno, tokens, columns in _logical_lines(text):
@@ -108,12 +109,11 @@ def parse_protocol(text: str) -> Protocol:
             states = tuple(tokens[1:])
             if len(set(states)) != len(states):
                 raise FormatError("duplicate state name", lineno, columns[1])
-        elif keyword == "inputs":
+        elif keyword in ("inputs", "outputs"):
+            pairs = input_pairs if keyword == "inputs" else output_pairs
+            what = keyword[:-1] + " binding"
             for tok, col in zip(tokens[1:], columns[1:]):
-                input_pairs.append(_split_binding(tok, lineno, col, "input binding"))
-        elif keyword == "outputs":
-            for tok, col in zip(tokens[1:], columns[1:]):
-                output_pairs.append(_split_binding(tok, lineno, col, "output binding"))
+                pairs.append((*_split_binding(tok, lineno, col, what), (lineno, col)))
         elif keyword == "rule":
             if len(tokens) != 6 or tokens[3] != "->":
                 raise FormatError(
@@ -134,19 +134,19 @@ def parse_protocol(text: str) -> Protocol:
         raise FormatError("missing states line", 1)
 
     outputs: dict[str, int] = {}
-    for state, bit in output_pairs:
+    for state, bit, place in output_pairs:
         if state not in states:
-            raise FormatError(f"output for unknown state {state!r}", 1)
+            raise FormatError(f"output for unknown state {state!r}", *place)
         if bit not in ("0", "1"):
-            raise FormatError(f"output must be 0 or 1, got {bit!r}", 1)
+            raise FormatError(f"output must be 0 or 1, got {bit!r}", *place)
         outputs[state] = int(bit)
 
     inputs: dict[str, str] = {}
-    for symbol, state in input_pairs:
+    for symbol, state, place in input_pairs:
         if state not in states:
-            raise FormatError(f"input bound to unknown state {state!r}", 1)
+            raise FormatError(f"input bound to unknown state {state!r}", *place)
         if symbol in inputs:
-            raise FormatError(f"duplicate input symbol {symbol!r}", 1)
+            raise FormatError(f"duplicate input symbol {symbol!r}", *place)
         inputs[symbol] = state
 
     try:

@@ -14,6 +14,11 @@ Stop rules decide when a run counts as stabilized:
   - any callable f(protocol, trace) -> bool, checked before every step on the
     trace of count vectors seen so far.
 
+A built-in stop rule is checked before the step budget, so max_steps=0 on a
+silent start reports stabilized with 0 steps; record_trace changes only the
+trace field of the result.  A target must be a configuration of the
+population, max_steps must be >= 0, and interaction graphs must be connected.
+
 Equal (protocol, init, seed, max_steps, stop) always reproduce the same
 RunResult, whichever kernel backend is active.
 """
@@ -22,11 +27,18 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import _kernels as k
-from .core import Config, Protocol, ProtocolError, output_of_config
+from .core import (
+    Config,
+    Protocol,
+    ProtocolError,
+    output_of_config,
+    strongly_connected_components,
+)
 
 StopRule = str | tuple | Callable | None
 
@@ -35,7 +47,8 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Undirected interaction topology: vertices 0..vertex_count-1, no self-loops."""
+    """Connected undirected interaction topology: vertices 0..vertex_count-1,
+    no self-loops, no duplicate edges."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -43,9 +56,8 @@ class InteractionGraph:
     def __post_init__(self):
         if self.vertex_count < 2:
             raise ProtocolError("graph needs at least 2 vertices")
-        if not self.edges:
-            raise ProtocolError("graph needs at least one edge")
         seen = set()
+        neighbours = {v: [] for v in range(self.vertex_count)}
         for u, v in self.edges:
             if u == v:
                 raise ProtocolError(f"self-loop at vertex {u}")
@@ -55,6 +67,14 @@ class InteractionGraph:
             if key in seen:
                 raise ProtocolError(f"duplicate edge ({u},{v})")
             seen.add(key)
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        reached = next(c for c in strongly_connected_components(neighbours) if 0 in c)
+        if len(reached) < self.vertex_count:
+            apart = min(set(range(self.vertex_count)) - set(reached))
+            raise ProtocolError(
+                f"graph is not connected: vertex {apart} cannot be reached from vertex 0"
+            )
 
     @classmethod
     def complete(cls, n: int) -> "InteractionGraph":
@@ -65,10 +85,6 @@ class InteractionGraph:
         if n == 2:
             return cls(2, ((0, 1),))
         return cls(n, tuple((u, (u + 1) % n) for u in range(n)))
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        touched = {u for e in self.edges for u in e}
-        return tuple(v for v in range(self.vertex_count) if v not in touched)
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,9 @@ def _tables(protocol: Protocol):
     )
 
 
-def _stop_params(protocol: Protocol, stop: StopRule, out_bits) -> tuple[int, int, np.ndarray]:
+def _stop_params(
+    protocol: Protocol, stop: StopRule, out_bits, population: int
+) -> tuple[int, int, np.ndarray]:
     n = protocol.state_count
     target = np.zeros(n, dtype=np.int64)
     if stop is None or callable(stop):
@@ -144,6 +162,10 @@ def _stop_params(protocol: Protocol, stop: StopRule, out_bits) -> tuple[int, int
     if isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
         for state, count in stop[1].items():
             target[protocol.index(state)] = count
+        if (target < 0).any() or target.sum() != population:
+            raise ProtocolError(
+                f"target {dict(stop[1])!r} is not a configuration of {population} agents"
+            )
         return k.STOP_TARGET, 0, target
     raise ProtocolError(f"unknown stop rule {stop!r}")
 
@@ -185,8 +207,9 @@ def run(
 ) -> RunResult:
     """Execute one run.  `init` is a count vector or {state: count} mapping;
     with `graph` it may instead be a per-vertex state-name sequence."""
+    if max_steps < 0:
+        raise ProtocolError(f"max_steps must be >= 0, got {max_steps}")
     offsets, succ_a, succ_b, identity_only, out_bits = _tables(protocol)
-    stop_mode, window, target = _stop_params(protocol, stop, out_bits)
 
     states = None
     if graph is not None:
@@ -206,84 +229,39 @@ def run(
             states = counts_to_vertex_states(counts)
     else:
         counts = _as_counts(protocol, init)
+    stop_mode, window, target = _stop_params(protocol, stop, out_bits, int(counts.sum()))
 
-    with k.overflow_ok():
-        return _drive(
-            protocol,
-            counts,
-            states,
-            graph,
-            (offsets, succ_a, succ_b, identity_only, out_bits),
-            stop_mode,
-            window,
-            target,
-            seed,
-            max_steps,
-            stop if callable(stop) else None,
-            record_trace,
-        )
-
-
-def _drive(
-    protocol,
-    counts,
-    states,
-    graph,
-    tables,
-    stop_mode,
-    window,
-    target,
-    seed,
-    max_steps,
-    stop_callable,
-    record_trace,
-):
-    offsets, succ_a, succ_b, identity_only, out_bits = tables
     rng = k.seed_state(seed)
-    edges = (
-        np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-        if graph is not None
-        else None
-    )
-
+    kernel_args = (offsets, succ_a, succ_b, identity_only, out_bits,
+                   stop_mode, np.int64(window), target)
+    if graph is None:
+        advance = partial(k.run_multiset, counts, *kernel_args)
+    else:
+        edges = np.array(graph.edges, dtype=np.int64)
+        advance = partial(k.run_graph, states, counts, edges, *kernel_args)
     prev_out = np.int64(k._config_output(counts, out_bits))
     run_len = np.int64(1) if prev_out >= 0 else np.int64(0)
 
-    def kernel(budget, run_len, prev_out):
-        if graph is None:
-            return k.run_multiset(
-                counts, offsets, succ_a, succ_b, identity_only, out_bits,
-                stop_mode, np.int64(window), target, np.int64(budget),
-                rng, run_len, prev_out,
-            )
-        return k.run_graph(
-            states, counts, edges, offsets, succ_a, succ_b, identity_only,
-            out_bits, stop_mode, np.int64(window), target, np.int64(budget),
-            rng, run_len, prev_out,
-        )
-
+    # One step per kernel call while a trace is kept or a callable stop rule
+    # looks at it; otherwise the whole budget in one call.  The kernel is
+    # always entered, so its built-in stop rule is checked even at max_steps=0.
+    stop_rule = stop if callable(stop) else None
+    stepwise = record_trace or stop_rule is not None
+    chunk = 1 if stepwise else max_steps
     trace: list[Config] = [tuple(int(c) for c in counts)]
     steps = 0
-    stabilized = False
-
-    if stop_callable is None and not record_trace:
-        steps, stabilized, run_len, prev_out = kernel(max_steps, run_len, prev_out)
-        steps = int(steps)
-    else:
-        while True:
-            if stop_callable is not None and stop_callable(protocol, tuple(trace)):
-                stabilized = True
-                break
+    stabilized = stop_rule is not None and stop_rule(protocol, tuple(trace))
+    with k.overflow_ok():
+        while not stabilized:
+            done, stabilized, run_len, prev_out = advance(
+                np.int64(min(chunk, max_steps - steps)), rng, run_len, prev_out
+            )
+            steps += int(done)
+            if done and stepwise:
+                trace.append(tuple(int(c) for c in counts))
+                if stop_rule is not None:
+                    stabilized = stop_rule(protocol, tuple(trace))
             if steps >= max_steps:
-                break
-            done, stabilized, run_len, prev_out = kernel(1, run_len, prev_out)
-            run_len, prev_out = np.int64(run_len), np.int64(prev_out)
-            if int(done) == 0:
-                # built-in stop fired before the step
-                break
-            steps += 1
-            trace.append(tuple(int(c) for c in counts))
-            if stabilized:
                 break
 
     final_config = tuple(int(c) for c in counts)

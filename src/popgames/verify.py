@@ -638,12 +638,12 @@ def iter_search_pavlovian(
     mode: str = EXACT,
     budget: int = DEFAULT_BUDGET,
     alphabet: Sequence[str] | None = None,
-    node_budget: int = DEFAULT_BUDGET,
 ):
     """Yield (Protocol, Witness) for every symmetric deterministic protocol on
     `state_count` states that is Pavlovian and stably computes the predicate
     on the given sizes.  Findings are data about the checked sizes, nothing
-    more.  The input alphabet defaults to the predicate's symbols."""
+    more.  The input alphabet defaults to the predicate's symbols.  One
+    `budget` bounds both the candidate count and every exploration."""
     expr = _as_predicate(predicate)
     sizes = _check_sizes(sizes)
     if alphabet is None:
@@ -689,7 +689,7 @@ def iter_search_pavlovian(
                     found = check_pavlovian(protocol, mode)
                     if isinstance(found, NotPavlovian):
                         continue
-                    verdict = stably_computes(protocol, expr, sizes, node_budget)
+                    verdict = stably_computes(protocol, expr, sizes, budget)
                     if verdict.passed:
                         yield protocol, found
 
@@ -701,10 +701,7 @@ def search_pavlovian(
     mode: str = EXACT,
     budget: int = DEFAULT_BUDGET,
     alphabet: Sequence[str] | None = None,
-    node_budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[Protocol, Witness]]:
     return list(
-        iter_search_pavlovian(
-            state_count, predicate, sizes, mode, budget, alphabet, node_budget
-        )
+        iter_search_pavlovian(state_count, predicate, sizes, mode, budget, alphabet)
     )

@@ -202,6 +202,22 @@ def test_simulate_on_graphs(tmp_path, capsys):
     assert "graph must be" in err
 
 
+def test_simulate_rejects_negative_max_steps_and_cut_off_graphs(tmp_path, capsys):
+    path = protocol_file(tmp_path, builtin("pavlov-pd"))
+    code, _, err = run_cli(
+        capsys, "simulate", path, "--init-states", "all-D", "--size", "3",
+        "--max-steps", "-1")
+    assert code == 2
+    assert "max_steps" in err
+    graph_path = tmp_path / "cut.graph"
+    graph_path.write_text("vertices 4\nedge 0 1\nedge 1 2\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "simulate", path, "--init-states", "all-D", "--size", "4",
+        "--graph", f"file:{graph_path}")
+    assert code == 2
+    assert "vertex 3 cannot be reached" in err
+
+
 def test_simulate_init_validation(tmp_path, capsys):
     path = protocol_file(tmp_path, builtin("or"))
     code, _, err = run_cli(capsys, "simulate", path)
@@ -329,6 +345,31 @@ def test_verify_budget_env(tmp_path, capsys, monkeypatch):
         capsys, "verify", path, "--predicate", "n_1 >= 1", "--sizes", "3..3")
     assert code == 2
     assert "POPGAMES_BUDGET" in err and "not-a-number" in err
+
+
+def test_budget_flag_wins_over_env(tmp_path, capsys, monkeypatch):
+    path = protocol_file(tmp_path, builtin("or"))
+    search = ("search", "--states", "2", "--predicate", "n_1 >= 1",
+              "--sizes", "2..3", "--budget", "100000")
+    verify = ("verify", path, "--predicate", "n_1 >= 1", "--sizes", "3..3",
+              "--budget", "100")
+    for env in ("3", "abc"):
+        monkeypatch.setenv("POPGAMES_BUDGET", env)
+        assert run_cli(capsys, *search)[0] == 0, env
+        assert run_cli(capsys, *verify)[0] == 0, env
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    path = protocol_file(tmp_path, builtin("or"))
+    code, _, err = run_cli(
+        capsys, "verify", path, "--predicate", "n_1 >= 1", "--budget", "-1")
+    assert code == 2
+    assert "--budget" in err
+    code, _, err = run_cli(
+        capsys, "search", "--states", "2", "--predicate", "n_1 >= 1",
+        "--budget", "-1")
+    assert code == 2
+    assert "--budget" in err
 
 
 # ---------------------------------------------------------------------------

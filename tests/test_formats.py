@@ -112,6 +112,21 @@ def test_parse_protocol_binding_errors():
         parse_protocol(base + "inputs 0=a 0=b\n")
 
 
+def test_binding_errors_carry_the_binding_position():
+    head = "protocol p\nstates a b\n# the maps\n\n"
+    cases = [
+        (head + "outputs a=0 c=1\n", "unknown state 'c'", 5, 13),
+        (head + "outputs  a=2 b=0\n", "0 or 1", 5, 10),
+        (head + "inputs 0=a 1=z\n", "unknown state 'z'", 5, 12),
+        (head + "inputs 0=a\ninputs 1=b 0=b\n", "duplicate input symbol", 6, 12),
+    ]
+    for text, message, line, column in cases:
+        with pytest.raises(FormatError) as err:
+            parse_protocol(text)
+        assert message in str(err.value), text
+        assert (err.value.line, err.value.column) == (line, column), text
+
+
 GAME_TEXT = """\
 game pd
 strategies C D

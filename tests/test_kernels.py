@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +48,11 @@ print(json.dumps(out))
 """
 
 
+# BATTERY's output, recorded on the pure-numpy backend; every backend must
+# reproduce it byte for byte
+GOLDEN_TRACES = Path(__file__).with_name("golden_traces.json")
+
+
 def run_battery(no_numba: bool) -> str:
     env = dict(os.environ)
     env.pop("POPGAMES_NO_NUMBA", None)
@@ -63,7 +69,12 @@ def test_backends_produce_identical_traces():
     with_numba = run_battery(no_numba=False)
     without = run_battery(no_numba=True)
     assert with_numba == without
-    assert json.loads(with_numba)  # well-formed and non-empty
+    assert json.loads(with_numba) == json.loads(GOLDEN_TRACES.read_text())
+
+
+def test_battery_matches_golden_traces(capsys):
+    exec(BATTERY, {})  # the same script, in this process
+    assert json.loads(capsys.readouterr().out) == json.loads(GOLDEN_TRACES.read_text())
 
 
 def test_fallback_flag_selects_numpy_backend():

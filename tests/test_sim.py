@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -27,15 +28,16 @@ def test_interaction_graph_validation():
         InteractionGraph(3, ((0, 3),))
     with pytest.raises(ProtocolError):
         InteractionGraph(3, ((0, 1), (1, 0)))
+    with pytest.raises(ProtocolError, match="vertex 1 cannot be reached"):
+        InteractionGraph(4, ((0, 3), (1, 2)))
 
 
 def test_graph_constructors():
     assert len(InteractionGraph.complete(5).edges) == 10
     assert len(InteractionGraph.ring(5).edges) == 5
     assert InteractionGraph.ring(2).edges == ((0, 1),)
-    path = InteractionGraph(4, ((0, 1), (1, 2)))
-    assert path.isolated_vertices() == (3,)
-    assert InteractionGraph.complete(4).isolated_vertices() == ()
+    with pytest.raises(ProtocolError, match="vertex 3 cannot be reached"):
+        InteractionGraph(4, ((0, 1), (1, 2)))
 
 
 def test_run_reproducible():
@@ -158,6 +160,44 @@ def test_stop_rule_validation():
         run(p, {"0": 3}, stop="quiet")
     with pytest.raises(ProtocolError):
         run(builtin("pavlov-pd"), {"D": 3}, stop=("window", 4))
+    with pytest.raises(ProtocolError, match="not a configuration of 3 agents"):
+        run(builtin("pavlov-pd"), {"D": 3}, stop=("target", {"C": 5}), max_steps=2000)
+    with pytest.raises(ProtocolError, match="not a configuration of 3 agents"):
+        run(builtin("pavlov-pd"), {"D": 3}, stop=("target", {"C": 4, "D": -1}))
+
+
+def test_negative_max_steps_rejected():
+    pd = builtin("pavlov-pd")
+    with pytest.raises(ProtocolError, match="max_steps"):
+        run(pd, {"D": 3}, max_steps=-5)
+    with pytest.raises(ProtocolError, match="max_steps"):
+        monte_carlo(pd, {"D": 3}, trials=2, max_steps=-1)
+
+
+def _never(protocol, trace):
+    return False
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("max_steps", [0, 1, 5, 200])
+@pytest.mark.parametrize("ring", [False, True], ids=["multiset", "ring"])
+@pytest.mark.parametrize(
+    "stop",
+    ["silent", ("window", 3), ("target", {"Y": 3, "0": 1}), None, _never],
+    ids=["silent", "window", "target", "none", "callable"],
+)
+def test_trace_changes_only_the_trace(stop, ring, max_steps, seed):
+    maj = builtin("majority")
+    # {"Y": 3, "0": 1} is already silent, already at its target and already
+    # shows the constant output 1
+    for init in ({"Y": 3, "0": 1}, {"0": 2, "1": 2}):
+        kwargs = dict(seed=seed, max_steps=max_steps, stop=stop,
+                      graph=InteractionGraph.ring(4) if ring else None)
+        plain = run(maj, init, **kwargs)
+        traced = run(maj, init, record_trace=True, **kwargs)
+        assert dataclasses.replace(traced, trace=None) == plain
+        assert len(traced.trace) == traced.steps + 1
+        assert traced.trace[-1] == traced.final_config
 
 
 def test_stop_none_runs_to_cutoff():
