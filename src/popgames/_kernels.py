@@ -1,11 +1,16 @@
 """Hot stepping kernels shared by both simulator backends.
 
-The same functions run either compiled by numba or as plain Python over numpy
-scalars; setting POPGAMES_NO_NUMBA=1 (or lacking numba) selects the plain
-path.  All randomness comes from a splitmix64 generator carried in a
-one-element uint64 array, so traces are bit-identical across backends.
-uint64 wraparound is intentional; callers silence numpy's scalar overflow
-warning via `overflow_ok`.
+One source serves both backends.  With numba (the optional `fast` extra) the
+kernels are compiled over int64 arrays; without it, or with
+POPGAMES_NO_NUMBA=1, the very same functions run as plain Python over lists
+of ints.  `kernel_input` gives each input the form its backend steps over, so
+the kernel code sticks to operations both forms share: `len`, integer
+literals, and indexing one level at a time.
+
+Only the splitmix64 generator has a definition per backend: uint64 arithmetic
+under numba, masked Python-int arithmetic without it.  Both carry their state
+in the same one-element uint64 array from `seed_state` and produce the same
+stream, so traces are bit-identical across backends.
 
 Drawing a value below m uses a plain modulo, whose bias is negligible for the
 population sizes involved (m far below 2^64).
@@ -45,9 +50,12 @@ def backend() -> str:
     return "numba" if NUMBA_ENABLED else "numpy"
 
 
-def overflow_ok():
-    """Context manager silencing uint64 wraparound warnings on the plain path."""
-    return np.errstate(over="ignore")
+def kernel_input(values):
+    """Kernel form of a sequence of ints or of int pairs: an int64 array for
+    numba, a fresh list for the plain path."""
+    if NUMBA_ENABLED:
+        return np.array(values, dtype=np.int64)
+    return list(values)
 
 
 STOP_NONE = 0
@@ -55,60 +63,77 @@ STOP_SILENT = 1
 STOP_WINDOW = 2
 STOP_TARGET = 3
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def seed_state(seed: int) -> np.ndarray:
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+    return np.array([seed & _MASK64], dtype=np.uint64)
 
 
-@njit(cache=True)
-def next_u64(state):
-    state[0] = state[0] + _GAMMA
-    z = state[0]
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+if NUMBA_ENABLED:
+    _U_GAMMA = np.uint64(_GAMMA)
+    _U_MIX1 = np.uint64(_MIX1)
+    _U_MIX2 = np.uint64(_MIX2)
 
+    @njit(cache=True)
+    def next_u64(state):
+        state[0] = state[0] + _U_GAMMA
+        z = state[0]
+        z = (z ^ (z >> np.uint64(30))) * _U_MIX1
+        z = (z ^ (z >> np.uint64(27))) * _U_MIX2
+        return z ^ (z >> np.uint64(31))
 
-@njit(cache=True)
-def rand_below(state, m):
-    return np.int64(next_u64(state) % np.uint64(m))
+    @njit(cache=True)
+    def rand_below(state, m):
+        return np.int64(next_u64(state) % np.uint64(m))
+
+else:
+
+    def next_u64(state):
+        z = (state.item(0) + _GAMMA) & _MASK64
+        state[0] = z
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def rand_below(state, m):
+        return next_u64(state) % m
 
 
 @njit(cache=True)
 def _pick_agent(counts, r):
     """State index of the r-th agent in count-vector order."""
-    acc = np.int64(0)
-    for q in range(counts.shape[0]):
+    acc = 0
+    for q in range(len(counts)):
         acc += counts[q]
         if r < acc:
             return q
-    return counts.shape[0] - 1
+    return len(counts) - 1
 
 
 @njit(cache=True)
 def _config_output(counts, out_bits):
     """0/1 when all present states share one output bit, else -1."""
-    seen = np.int64(-1)
-    for q in range(counts.shape[0]):
+    seen = -1
+    for q in range(len(counts)):
         if counts[q] == 0:
             continue
         bit = out_bits[q]
         if bit < 0:
-            return np.int64(-1)
+            return -1
         if seen < 0:
-            seen = np.int64(bit)
+            seen = bit
         elif seen != bit:
-            return np.int64(-1)
+            return -1
     return seen
 
 
 @njit(cache=True)
 def _multiset_silent(counts, identity_only):
-    n = counts.shape[0]
+    n = len(counts)
     for q1 in range(n):
         if counts[q1] == 0:
             continue
@@ -122,9 +147,10 @@ def _multiset_silent(counts, identity_only):
 
 @njit(cache=True)
 def _graph_silent(states, edges, identity_only, n):
-    for e in range(edges.shape[0]):
-        qu = states[edges[e, 0]]
-        qv = states[edges[e, 1]]
+    for e in range(len(edges)):
+        edge = edges[e]
+        qu = states[edge[0]]
+        qv = states[edge[1]]
         if identity_only[qu * n + qv] == 0 or identity_only[qv * n + qu] == 0:
             return False
     return True
@@ -132,7 +158,7 @@ def _graph_silent(states, edges, identity_only, n):
 
 @njit(cache=True)
 def _counts_match(counts, target):
-    for q in range(counts.shape[0]):
+    for q in range(len(counts)):
         if counts[q] != target[q]:
             return False
     return True
@@ -144,9 +170,9 @@ def _update_window(counts, out_bits, run_len, prev_out):
     if out >= 0 and out == prev_out:
         run_len += 1
     elif out >= 0:
-        run_len = np.int64(1)
+        run_len = 1
     else:
-        run_len = np.int64(0)
+        run_len = 0
     return run_len, out
 
 
@@ -176,11 +202,11 @@ def run_multiset(
     prev_out,
 ):
     """Advance up to max_steps interactions; returns (steps, stabilized, run_len, prev_out)."""
-    n = counts.shape[0]
-    total = np.int64(0)
+    n = len(counts)
+    total = 0
     for q in range(n):
         total += counts[q]
-    steps = np.int64(0)
+    steps = 0
     while True:
         if stop_mode == STOP_SILENT and _multiset_silent(counts, identity_only):
             return steps, True, run_len, prev_out
@@ -225,9 +251,9 @@ def run_graph(
     prev_out,
 ):
     """Per-vertex twin of run_multiset: uniform edge, then uniform orientation."""
-    n = counts.shape[0]
-    m = edges.shape[0]
-    steps = np.int64(0)
+    n = len(counts)
+    m = len(edges)
+    steps = 0
     while True:
         if stop_mode == STOP_SILENT and _graph_silent(states, edges, identity_only, n):
             return steps, True, run_len, prev_out
@@ -239,8 +265,9 @@ def run_graph(
             return steps, False, run_len, prev_out
         e = rand_below(rng, m)
         flip = rand_below(rng, 2)
-        u = edges[e, 1 - flip]
-        v = edges[e, flip]
+        edge = edges[e]
+        u = edge[1 - flip]
+        v = edge[flip]
         q1 = states[u]
         q2 = states[v]
         a, b = _apply_successor(counts, succ_off, succ_a, succ_b, q1, q2, n, rng)

@@ -139,6 +139,8 @@ def parse_protocol(text: str) -> Protocol:
             raise FormatError(f"output for unknown state {state!r}", *place)
         if bit not in ("0", "1"):
             raise FormatError(f"output must be 0 or 1, got {bit!r}", *place)
+        if state in outputs:
+            raise FormatError(f"duplicate output for state {state!r}", *place)
         outputs[state] = int(bit)
 
     inputs: dict[str, str] = {}

@@ -48,10 +48,6 @@ def _var_key(var: Var) -> tuple[int, str, int, int]:
     return (2, repr(var), -1, -1)
 
 
-def _edge_key(edge: Edge) -> tuple:
-    return (_var_key(edge[0]), _var_key(edge[1]))
-
-
 @dataclass
 class ConstraintSystem:
     """Order constraints over matrix-entry variables and the threshold."""
@@ -59,6 +55,10 @@ class ConstraintSystem:
     variables: tuple[Var, ...]
     nonstrict: set[Edge] = field(default_factory=set)  # (u, v) meaning u <= v
     strict: set[Edge] = field(default_factory=set)  # (u, v) meaning u < v
+    _varset: frozenset[Var] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._varset = frozenset(self.variables)
 
     def add_le(self, u: Var, v: Var) -> None:
         self._check(u, v)
@@ -71,10 +71,6 @@ class ConstraintSystem:
     def _check(self, u: Var, v: Var) -> None:
         if u not in self._varset or v not in self._varset:
             raise ProtocolError(f"constraint references undeclared variable: {u} / {v}")
-
-    @property
-    def _varset(self) -> frozenset[Var]:
-        return frozenset(self.variables)
 
     def satisfied_by(self, assignment: dict[Var, object]) -> bool:
         """Check a concrete assignment against every recorded comparison."""
@@ -197,14 +193,20 @@ def solve_order_constraints(
     edges forcing a rank increase, which yields values bounded by the number
     of variables.
     """
+    # `_var_key` ranked once; edges sort by their endpoints' ranks
+    order = {v: r for r, v in enumerate(sorted(system.variables, key=_var_key))}
+
+    def edge_rank(edge: Edge) -> tuple[int, int]:
+        return (order[edge[0]], order[edge[1]])
+
     adjacency: dict[Var, list[Var]] = {v: [] for v in system.variables}
-    for u, v in sorted(system.nonstrict | system.strict, key=_edge_key):
+    for u, v in sorted(system.nonstrict | system.strict, key=edge_rank):
         adjacency[u].append(v)
 
     components = strongly_connected_components(adjacency)
     comp_of = {v: ci for ci, comp in enumerate(components) for v in comp}
 
-    for u, v in sorted(system.strict, key=_edge_key):
+    for u, v in sorted(system.strict, key=edge_rank):
         if comp_of[u] == comp_of[v]:
             return _certificate(system, adjacency, comp_of, u, v)
 

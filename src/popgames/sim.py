@@ -36,6 +36,7 @@ from .core import (
     Config,
     Protocol,
     ProtocolError,
+    histogram,
     output_of_config,
     strongly_connected_components,
 )
@@ -115,39 +116,34 @@ class StatsReport:
 
 
 def _tables(protocol: Protocol):
+    """Successor offsets and pairs per ordered state pair, identity-only flags
+    and output bits (-1 for none), as lists of ints."""
     n = protocol.state_count
-    offsets = np.zeros(n * n + 1, dtype=np.int64)
+    offsets = [0]
     firsts: list[int] = []
     seconds: list[int] = []
-    identity_only = np.zeros(n * n, dtype=np.uint8)
+    identity_only = [0] * (n * n)
     for q1 in range(n):
         for q2 in range(n):
-            p = q1 * n + q2
             succs = sorted(protocol.rules[(q1, q2)])
             if succs == [(q1, q2)]:
-                identity_only[p] = 1
+                identity_only[q1 * n + q2] = 1
             for a, b in succs:
                 firsts.append(a)
                 seconds.append(b)
-            offsets[p + 1] = len(firsts)
-    out_bits = np.full(n, -1, dtype=np.int64)
-    if protocol.output_map is not None:
-        for q in range(n):
-            out_bits[q] = protocol.output_map[q]
-    return (
-        offsets,
-        np.array(firsts, dtype=np.int64),
-        np.array(seconds, dtype=np.int64),
-        identity_only,
-        out_bits,
-    )
+            offsets.append(len(firsts))
+    if protocol.output_map is None:
+        out_bits = [-1] * n
+    else:
+        out_bits = [int(bit) for bit in protocol.output_map]
+    return offsets, firsts, seconds, identity_only, out_bits
 
 
 def _stop_params(
-    protocol: Protocol, stop: StopRule, out_bits, population: int
-) -> tuple[int, int, np.ndarray]:
+    protocol: Protocol, stop: StopRule, out_bits: Sequence[int], population: int
+) -> tuple[int, int, list[int]]:
     n = protocol.state_count
-    target = np.zeros(n, dtype=np.int64)
+    target = [0] * n
     if stop is None or callable(stop):
         return k.STOP_NONE, 0, target
     if stop == "silent":
@@ -156,13 +152,13 @@ def _stop_params(
         window = int(stop[1])
         if window < 1:
             raise ProtocolError("window must be >= 1")
-        if (out_bits < 0).any():
+        if min(out_bits) < 0:
             raise ProtocolError("window stop rule needs a total output map")
         return k.STOP_WINDOW, window, target
     if isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
         for state, count in stop[1].items():
-            target[protocol.index(state)] = count
-        if (target < 0).any() or target.sum() != population:
+            target[protocol.index(state)] = int(count)
+        if min(target) < 0 or sum(target) != population:
             raise ProtocolError(
                 f"target {dict(stop[1])!r} is not a configuration of {population} agents"
             )
@@ -170,26 +166,26 @@ def _stop_params(
     raise ProtocolError(f"unknown stop rule {stop!r}")
 
 
-def _as_counts(protocol: Protocol, init) -> np.ndarray:
+def _as_counts(protocol: Protocol, init) -> list[int]:
     n = protocol.state_count
     if isinstance(init, Mapping):
-        counts = np.zeros(n, dtype=np.int64)
+        counts = [0] * n
         for state, count in init.items():
-            counts[protocol.index(state)] += count
+            counts[protocol.index(state)] += int(count)
     else:
         if len(init) != n:
             raise ProtocolError(f"count vector length {len(init)} != {n} states")
-        counts = np.array(init, dtype=np.int64)
-    if (counts < 0).any():
+        counts = [int(c) for c in init]
+    if min(counts) < 0:
         raise ProtocolError("negative count")
-    if counts.sum() < 2:
+    if sum(counts) < 2:
         raise ProtocolError("population must have at least 2 agents")
     return counts
 
 
-def counts_to_vertex_states(counts: Sequence[int]) -> np.ndarray:
+def counts_to_vertex_states(counts: Sequence[int]) -> list[int]:
     """Deterministic spread of a count vector over vertices, in state order."""
-    return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return [q for q, count in enumerate(counts) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,9 @@ def run(
     with `graph` it may instead be a per-vertex state-name sequence."""
     if max_steps < 0:
         raise ProtocolError(f"max_steps must be >= 0, got {max_steps}")
-    offsets, succ_a, succ_b, identity_only, out_bits = _tables(protocol)
+    offsets, succ_a, succ_b, identity_only, out_bits = map(
+        k.kernel_input, _tables(protocol)
+    )
 
     states = None
     if graph is not None:
@@ -218,29 +216,31 @@ def run(
             and len(init) == graph.vertex_count
             and all(isinstance(s, str) for s in init)
         ):
-            states = np.array([protocol.index(s) for s in init], dtype=np.int64)
-            counts = np.bincount(states, minlength=protocol.state_count).astype(np.int64)
+            states = [protocol.index(s) for s in init]
+            counts = list(histogram(protocol, states))
         else:
             counts = _as_counts(protocol, init)
-            if counts.sum() != graph.vertex_count:
+            if sum(counts) != graph.vertex_count:
                 raise ProtocolError(
-                    f"population {counts.sum()} != {graph.vertex_count} vertices"
+                    f"population {sum(counts)} != {graph.vertex_count} vertices"
                 )
             states = counts_to_vertex_states(counts)
     else:
         counts = _as_counts(protocol, init)
-    stop_mode, window, target = _stop_params(protocol, stop, out_bits, int(counts.sum()))
+    stop_mode, window, target = _stop_params(protocol, stop, out_bits, sum(counts))
 
     rng = k.seed_state(seed)
+    counts = k.kernel_input(counts)
     kernel_args = (offsets, succ_a, succ_b, identity_only, out_bits,
-                   stop_mode, np.int64(window), target)
+                   stop_mode, window, k.kernel_input(target))
     if graph is None:
         advance = partial(k.run_multiset, counts, *kernel_args)
     else:
-        edges = np.array(graph.edges, dtype=np.int64)
+        states = k.kernel_input(states)
+        edges = k.kernel_input(graph.edges)
         advance = partial(k.run_graph, states, counts, edges, *kernel_args)
-    prev_out = np.int64(k._config_output(counts, out_bits))
-    run_len = np.int64(1) if prev_out >= 0 else np.int64(0)
+    prev_out = int(k._config_output(counts, out_bits))
+    run_len = 1 if prev_out >= 0 else 0
 
     # One step per kernel call while a trace is kept or a callable stop rule
     # looks at it; otherwise the whole budget in one call.  The kernel is
@@ -248,23 +248,22 @@ def run(
     stop_rule = stop if callable(stop) else None
     stepwise = record_trace or stop_rule is not None
     chunk = 1 if stepwise else max_steps
-    trace: list[Config] = [tuple(int(c) for c in counts)]
+    trace: list[Config] = [tuple(map(int, counts))]
     steps = 0
     stabilized = stop_rule is not None and stop_rule(protocol, tuple(trace))
-    with k.overflow_ok():
-        while not stabilized:
-            done, stabilized, run_len, prev_out = advance(
-                np.int64(min(chunk, max_steps - steps)), rng, run_len, prev_out
-            )
-            steps += int(done)
-            if done and stepwise:
-                trace.append(tuple(int(c) for c in counts))
-                if stop_rule is not None:
-                    stabilized = stop_rule(protocol, tuple(trace))
-            if steps >= max_steps:
-                break
+    while not stabilized:
+        done, stabilized, run_len, prev_out = advance(
+            min(chunk, max_steps - steps), rng, run_len, prev_out
+        )
+        steps += int(done)
+        if done and stepwise:
+            trace.append(tuple(map(int, counts)))
+            if stop_rule is not None:
+                stabilized = stop_rule(protocol, tuple(trace))
+        if steps >= max_steps:
+            break
 
-    final_config = tuple(int(c) for c in counts)
+    final_config = tuple(map(int, counts))
     output = (
         output_of_config(protocol, final_config)
         if protocol.output_map is not None
@@ -275,7 +274,7 @@ def run(
         stabilized=bool(stabilized),
         final_config=final_config,
         output=output,
-        final_states=tuple(int(s) for s in states) if states is not None else None,
+        final_states=tuple(map(int, states)) if states is not None else None,
         trace=tuple(trace) if record_trace else None,
     )
 
@@ -311,9 +310,8 @@ def monte_carlo(
     splitmix64 stream; aggregation is order-independent."""
     if trials < 1:
         raise ProtocolError("trials must be >= 1")
-    with k.overflow_ok():
-        master = k.seed_state(seed)
-        trial_seeds = [int(k.next_u64(master)) for _ in range(trials)]
+    master = k.seed_state(seed)
+    trial_seeds = [int(k.next_u64(master)) for _ in range(trials)]
     runs = tuple(
         run(protocol, init, seed=s, max_steps=max_steps, stop=stop, graph=graph)
         for s in trial_seeds

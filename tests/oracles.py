@@ -10,7 +10,8 @@ Contents:
   * a per-agent (tuple-based) execution semantics: successor sets, reachable
     graphs, and bottom SCCs over agent tuples, for cross-checking the
     package's anonymous count-vector semantics;
-  * a plain-integer splitmix64 reference stream.
+  * a plain-integer splitmix64 reference stream, and a per-step simulator
+    that draws from it in the documented order.
 """
 
 from __future__ import annotations
@@ -230,3 +231,99 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         out.append(z ^ (z >> 31))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-step reference simulator.  Draw order per interaction, each draw being
+# the next splitmix64 value of the run's seed reduced modulo a range:
+#   complete graph: initiator r % total over the agents listed in state order,
+#     then responder r % (total - 1) over the agents that remain;
+#   interaction graph: edge r % edges, then orientation r % 2 (the responder
+#     is the edge's endpoint at that position, the initiator the other one);
+#   then, only when the ordered state pair has more than one successor pair,
+#   successor r % choices among the sorted successor pairs.
+# Stop rules are checked before every step and before the step budget.
+# Vertices start with the count vector spread in state order.
+# ---------------------------------------------------------------------------
+
+
+def config_output(output_map, counts) -> int | None:
+    """The output bit shared by every agent present, else None."""
+    if output_map is None:
+        return None
+    bits = {output_map[q] for q, c in enumerate(counts) if c}
+    return bits.pop() if len(bits) == 1 else None
+
+
+def reference_run(
+    rules: RuleTable,
+    output_map,
+    counts,
+    seed: int,
+    max_steps: int,
+    stop=None,
+    edges=None,
+    record_trace: bool = False,
+) -> dict:
+    """One run with the fields of the package's RunResult.  `stop` is None,
+    "silent", ("window", w) or ("target", count vector); `edges` switches
+    from the complete graph to that interaction graph."""
+    k = len(counts)
+    counts = list(counts)
+    vertices = [q for q in range(k) for _ in range(counts[q])]
+    draws = iter(splitmix64_stream(seed, 3 * max_steps))
+    trace = [tuple(counts)]
+
+    def moves(q1, q2):
+        return set(rules[(q1, q2)]) != {(q1, q2)}
+
+    def stopped():
+        if stop == "silent":
+            if edges is not None:
+                return not any(
+                    moves(vertices[u], vertices[v]) or moves(vertices[v], vertices[u])
+                    for u, v in edges
+                )
+            agents = [q for q in range(k) for _ in range(counts[q])]
+            return not any(
+                moves(agents[i], agents[j])
+                for i in range(len(agents))
+                for j in range(len(agents))
+                if i != j
+            )
+        if stop is not None and stop[0] == "window":
+            last = [config_output(output_map, c) for c in trace[-stop[1]:]]
+            return len(last) == stop[1] and last[0] is not None and len(set(last)) == 1
+        if stop is not None and stop[0] == "target":
+            return tuple(counts) == tuple(stop[1])
+        return False
+
+    steps = 0
+    while not stopped() and steps < max_steps:
+        if edges is None:
+            agents = [q for q in range(k) for _ in range(counts[q])]
+            q1 = agents.pop(next(draws) % len(agents))
+            q2 = agents[next(draws) % len(agents)]
+        else:
+            edge = edges[next(draws) % len(edges)]
+            responder = next(draws) % 2
+            u, v = edge[1 - responder], edge[responder]
+            q1, q2 = vertices[u], vertices[v]
+        succs = sorted(rules[(q1, q2)])
+        a, b = succs[next(draws) % len(succs)] if len(succs) > 1 else succs[0]
+        if edges is not None:
+            vertices[u], vertices[v] = a, b
+        counts[q1] -= 1
+        counts[q2] -= 1
+        counts[a] += 1
+        counts[b] += 1
+        steps += 1
+        trace.append(tuple(counts))
+    return {
+        "steps": steps,
+        "stabilized": stopped(),
+        "final_config": tuple(counts),
+        "output": config_output(output_map, counts),
+        "final_states": None if edges is None else tuple(vertices),
+        "trace": tuple(trace) if record_trace else None,
+    }

@@ -119,6 +119,7 @@ def test_binding_errors_carry_the_binding_position():
         (head + "outputs  a=2 b=0\n", "0 or 1", 5, 10),
         (head + "inputs 0=a 1=z\n", "unknown state 'z'", 5, 12),
         (head + "inputs 0=a\ninputs 1=b 0=b\n", "duplicate input symbol", 6, 12),
+        (head + "outputs a=0 a=1 b=0\n", "duplicate output for state 'a'", 5, 13),
     ]
     for text, message, line, column in cases:
         with pytest.raises(FormatError) as err:

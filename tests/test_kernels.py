@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,45 +6,40 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from popgames import NUMBA_ENABLED, backend
+from popgames import NUMBA_ENABLED, backend, builtin, run
+from popgames.core import Protocol, complete
+from popgames.sim import InteractionGraph
 import popgames._kernels as kernels
 
-BATTERY = r"""
-import json
+# (builtin protocol, init, ring size or None for the complete graph,
+# max_steps, stop rule, record_trace); BATTERY runs each for seeds 0..4
+CASES = [
+    ("pavlov-pd", {"D": 5}, None, 3000, "silent", False),
+    ("pavlov-pd", {"D": 6}, 6, 3000, "silent", False),
+    ("majority", {"0": 3, "1": 2}, None, 3000, "silent", False),
+    ("majority", {"0": 3, "1": 1}, None, 400, ("window", 8), False),
+    ("leader-pavlovian", {"L1": 2, "N": 2}, None, 300, None, False),
+    ("majority", {"0": 2, "1": 2}, None, 60, None, True),
+    ("pavlov-pd", {"D": 4}, None, 2000, ("target", {"C": 4}), False),
+]
+SEEDS = range(5)
+
+BATTERY = f"""
+import dataclasses, json
 from popgames import builtin, run
 from popgames.sim import InteractionGraph
 
-def snap(result):
-    return {
-        "steps": result.steps,
-        "stabilized": result.stabilized,
-        "final_config": list(result.final_config),
-        "output": result.output,
-        "final_states": None if result.final_states is None
-                        else list(result.final_states),
-        "trace": None if result.trace is None
-                 else [list(c) for c in result.trace],
-    }
-
-pd = builtin("pavlov-pd")
-maj = builtin("majority")
-lead = builtin("leader-pavlovian")
 out = []
-for seed in range(5):
-    out.append(snap(run(pd, {"D": 5}, seed=seed, max_steps=3000)))
-    out.append(snap(run(pd, {"D": 6}, seed=seed, max_steps=3000,
-                        graph=InteractionGraph.ring(6))))
-    out.append(snap(run(maj, {"0": 3, "1": 2}, seed=seed, max_steps=3000)))
-    out.append(snap(run(maj, {"0": 3, "1": 1}, seed=seed, max_steps=400,
-                        stop=("window", 8))))
-    out.append(snap(run(lead, {"L1": 2, "N": 2}, seed=seed, max_steps=300,
-                        stop=None)))
-    out.append(snap(run(maj, {"0": 2, "1": 2}, seed=seed, max_steps=60,
-                        stop=None, record_trace=True)))
-    out.append(snap(run(pd, {"D": 4}, seed=seed, max_steps=2000,
-                        stop=("target", {"C": 4}))))
+for seed in {SEEDS!r}:
+    for key, init, ring, max_steps, stop, record_trace in {CASES!r}:
+        graph = None if ring is None else InteractionGraph.ring(ring)
+        result = run(builtin(key), init, seed=seed, max_steps=max_steps,
+                     stop=stop, graph=graph, record_trace=record_trace)
+        out.append(dataclasses.asdict(result))
 print(json.dumps(out))
 """
 
@@ -77,6 +73,88 @@ def test_battery_matches_golden_traces(capsys):
     assert json.loads(capsys.readouterr().out) == json.loads(GOLDEN_TRACES.read_text())
 
 
+def reference(protocol, counts, seed, max_steps, stop, ring, record_trace):
+    """`oracles.reference_run` on the arguments `run` takes, with a
+    {state: count} init or target turned into a count vector."""
+
+    def vector(mapping):
+        out = [0] * protocol.state_count
+        for state, count in mapping.items():
+            out[protocol.index(state)] += count
+        return out
+
+    if isinstance(counts, dict):
+        counts = vector(counts)
+    if isinstance(stop, tuple) and stop[0] == "target":
+        stop = ("target", vector(stop[1]))
+    edges = None if ring is None else InteractionGraph.ring(ring).edges
+    return oracles.reference_run(
+        protocol.rules, protocol.output_map, counts, seed, max_steps,
+        stop, edges, record_trace,
+    )
+
+
+def test_reference_simulator_reproduces_golden_traces():
+    golden = iter(json.loads(GOLDEN_TRACES.read_text()))
+    for seed in SEEDS:
+        for key, init, ring, max_steps, stop, record_trace in CASES:
+            got = reference(builtin(key), init, seed, max_steps, stop, ring, record_trace)
+            assert json.loads(json.dumps(got)) == next(golden), (key, seed)
+
+
+@st.composite
+def simulations(draw):
+    """A random 2-4-state protocol, often nondeterministic, with a total
+    output map; 2-8 agents on the complete graph or a ring; any built-in
+    stop rule."""
+    k = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    rules = {
+        (q1, q2): draw(st.one_of(st.just({(q1, q2)}), st.sets(pairs, min_size=1, max_size=3)))
+        for q1 in range(k)
+        for q2 in range(k)
+    }
+    states = tuple(f"s{q}" for q in range(k))
+    protocol = Protocol(
+        name="random",
+        states=states,
+        rules=complete(rules, k),
+        output_map=tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))),
+    )
+    population = draw(st.integers(2, 8))
+    agents = st.lists(st.integers(0, k - 1), min_size=population, max_size=population)
+    counts = [0] * k
+    for q in draw(agents):
+        counts[q] += 1
+    stop = draw(st.sampled_from(["silent", "window", "target", None]))
+    if stop == "window":
+        stop = ("window", draw(st.integers(1, 6)))
+    elif stop == "target":
+        target = {}
+        for q in draw(agents):
+            target[states[q]] = target.get(states[q], 0) + 1
+        stop = ("target", target)
+    return (
+        protocol,
+        counts,
+        draw(st.integers(0, 2**64 - 1)),
+        draw(st.integers(0, 80)),
+        stop,
+        draw(st.sampled_from([None, population])),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(simulations())
+def test_run_matches_reference_simulator(case):
+    protocol, counts, seed, max_steps, stop, ring, record_trace = case
+    graph = None if ring is None else InteractionGraph.ring(ring)
+    result = run(protocol, counts, seed=seed, max_steps=max_steps, stop=stop,
+                 graph=graph, record_trace=record_trace)
+    assert dataclasses.asdict(result) == reference(*case)
+
+
 def test_fallback_flag_selects_numpy_backend():
     env = dict(os.environ, POPGAMES_NO_NUMBA="1")
     proc = subprocess.run(
@@ -96,8 +174,7 @@ def test_backend_reports_current_mode():
 def test_splitmix64_matches_reference():
     for seed in (0, 1, 42, 2**63, 2**64 - 1):
         state = kernels.seed_state(seed)
-        with kernels.overflow_ok():
-            got = [int(kernels.next_u64(state)) for _ in range(50)]
+        got = [int(kernels.next_u64(state)) for _ in range(50)]
         assert got == oracles.splitmix64_stream(seed, 50), seed
 
 
@@ -105,16 +182,14 @@ def test_seed_state_shape_and_determinism():
     a = kernels.seed_state(7)
     b = kernels.seed_state(7)
     assert a.dtype == np.uint64 and a.shape == (1,)
-    with kernels.overflow_ok():
-        assert int(kernels.next_u64(a)) == int(kernels.next_u64(b))
+    assert int(kernels.next_u64(a)) == int(kernels.next_u64(b))
 
 
 def test_rand_below_range_and_determinism():
     state = kernels.seed_state(123)
     state2 = kernels.seed_state(123)
-    with kernels.overflow_ok():
-        draws = [int(kernels.rand_below(state, 7)) for _ in range(200)]
-        again = [int(kernels.rand_below(state2, 7)) for _ in range(200)]
+    draws = [int(kernels.rand_below(state, 7)) for _ in range(200)]
+    again = [int(kernels.rand_below(state2, 7)) for _ in range(200)]
     assert all(0 <= d < 7 for d in draws)
     assert len(set(draws)) == 7
     assert draws == again
@@ -123,6 +198,5 @@ def test_rand_below_range_and_determinism():
 def test_rand_below_matches_reference_modulus():
     ref = [value % 9 for value in oracles.splitmix64_stream(5, 100)]
     state = kernels.seed_state(5)
-    with kernels.overflow_ok():
-        got = [int(kernels.rand_below(state, 9)) for _ in range(100)]
+    got = [int(kernels.rand_below(state, 9)) for _ in range(100)]
     assert got == ref
