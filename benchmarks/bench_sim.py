@@ -1,9 +1,10 @@
-"""Time the compiled simulation kernels against the pure-numpy fallback.
+"""Time the compiled simulation kernels against the plain-Python fallback.
 
 Both backends run the same fixed-step workloads (no stop rule, so the work
 is identical either way).  `--compare` re-launches this script in two child
 processes, one per backend, and prints a small table with the speedup; when
-numba is not installed both children run numpy, so only that column is shown.
+numba is not installed both children run the plain-Python kernels, so only
+that column (named "numpy", after `backend()`) is shown.
 
     python3 benchmarks/bench_sim.py --compare
     POPGAMES_NO_NUMBA=1 python3 benchmarks/bench_sim.py

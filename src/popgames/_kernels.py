@@ -8,9 +8,13 @@ the kernel code sticks to operations both forms share: `len`, integer
 literals, and indexing one level at a time.
 
 Only the splitmix64 generator has a definition per backend: uint64 arithmetic
-under numba, masked Python-int arithmetic without it.  Both carry their state
-in the same one-element uint64 array from `seed_state` and produce the same
-stream, so traces are bit-identical across backends.
+under numba, masked Python-int arithmetic without it.  `seed_state` gives its
+state in the backend's form, a one-element uint64 array under numba and a
+one-element list holding `seed & (2**64 - 1)` without it.  Both produce the
+same stream, so traces are bit-identical across backends.
+
+numpy is imported only beside numba: the plain path, and with it every
+`popgames` command run without numba, uses the standard library alone.
 
 Drawing a value below m uses a plain modulo, whose bias is negligible for the
 population sizes involved (m far below 2^64).
@@ -25,12 +29,11 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 NUMBA_ENABLED = os.environ.get("POPGAMES_NO_NUMBA", "") != "1"
 if NUMBA_ENABLED:
     try:
         from numba import njit
+        import numpy as np
     except ImportError:  # numba is the optional `fast` extra
         NUMBA_ENABLED = False
 
@@ -69,8 +72,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def seed_state(seed: int) -> np.ndarray:
-    return np.array([seed & _MASK64], dtype=np.uint64)
+def seed_state(seed: int):
+    """Generator state for `seed` taken mod 2^64: a one-element uint64 array
+    for numba, a one-element list of one int for the plain path."""
+    if NUMBA_ENABLED:
+        return np.array([seed & _MASK64], dtype=np.uint64)
+    return [seed & _MASK64]
 
 
 if NUMBA_ENABLED:
@@ -93,7 +100,7 @@ if NUMBA_ENABLED:
 else:
 
     def next_u64(state):
-        z = (state.item(0) + _GAMMA) & _MASK64
+        z = (state[0] + _GAMMA) & _MASK64
         state[0] = z
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64

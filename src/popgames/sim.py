@@ -29,8 +29,6 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from . import _kernels as k
 from .core import (
     Config,
@@ -280,21 +278,23 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# stop rules in protocol terms
-
-
-def stop_output_window(protocol: Protocol, trace: Sequence[Config], window: int) -> bool:
-    """True iff the last `window` configurations all carry the same defined output."""
-    if window < 1:
-        raise ProtocolError("window must be >= 1")
-    if len(trace) < window:
-        return False
-    outputs = {output_of_config(protocol, c) for c in trace[-window:]}
-    return len(outputs) == 1 and None not in outputs
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo
+
+
+def _step_summary(steps: Sequence[int]) -> tuple[float, float, float]:
+    """Mean, median and 95th percentile of a sorted non-empty list of step
+    counts, equal to numpy's float64 `mean`, `median` and `percentile(.., 95)`
+    (linear method) while sum(steps) < 2**53, where numpy's float sum is exact."""
+    n = len(steps)
+    mid = n // 2
+    median = float(steps[mid]) if n % 2 else (steps[mid - 1] + steps[mid]) / 2
+    index = (n - 1) * 0.95
+    lo = int(index)
+    a, b = float(steps[lo]), float(steps[min(lo + 1, n - 1)])
+    t = index - lo
+    # numpy's lerp, which interpolates from the nearer of the two ends
+    p95 = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return sum(steps) / n, median, p95
 
 
 def monte_carlo(
@@ -318,10 +318,7 @@ def monte_carlo(
     )
     stabilized_steps = sorted(r.steps for r in runs if r.stabilized)
     if stabilized_steps:
-        arr = np.array(stabilized_steps, dtype=np.float64)
-        mean = float(arr.mean())
-        median = float(np.median(arr))
-        p95 = float(np.percentile(arr, 95))
+        mean, median, p95 = _step_summary(stabilized_steps)
     else:
         mean = median = p95 = None
     return StatsReport(

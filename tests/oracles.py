@@ -3,6 +3,8 @@
 Everything in this module is deliberately written from scratch against the
 interaction semantics, without importing the package under test: expected
 values produced here are compared against the package, never derived from it.
+The one name taken from the package is `ProtocolError`, raised (and imported
+only then) for a window below 1, as `run` raises it.
 
 Contents:
   * an exact expected-absorption-time solver for the Pavlov prisoner's
@@ -11,7 +13,8 @@ Contents:
     graphs, and bottom SCCs over agent tuples, for cross-checking the
     package's anonymous count-vector semantics;
   * a plain-integer splitmix64 reference stream, and a per-step simulator
-    that draws from it in the documented order.
+    that draws from it in the documented order, with the window stop rule
+    also as a check on a recorded trace.
 """
 
 from __future__ import annotations
@@ -253,6 +256,19 @@ def config_output(output_map, counts) -> int | None:
         return None
     bits = {output_map[q] for q, c in enumerate(counts) if c}
     return bits.pop() if len(bits) == 1 else None
+
+
+def stop_output_window(protocol, trace, window: int) -> bool:
+    """The window stop rule read off a recorded trace: True iff the last
+    `window` configurations all carry the same defined output."""
+    if window < 1:
+        from popgames.core import ProtocolError  # the error `run` raises too
+
+        raise ProtocolError("window must be >= 1")
+    if len(trace) < window:
+        return False
+    outputs = {config_output(protocol.output_map, c) for c in trace[-window:]}
+    return len(outputs) == 1 and None not in outputs
 
 
 def reference_run(

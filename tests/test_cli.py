@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and report formats."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -485,3 +486,30 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "majority" in proc.stdout
+
+
+# main() with argv from the command line, then a check that nothing it ran
+# imported numpy
+NUMPY_FREE = """
+import sys
+from popgames import cli
+code = cli.main(sys.argv[1:])
+assert "numpy" not in sys.modules, "numpy was imported"
+sys.exit(code)
+"""
+
+
+def test_commands_run_without_numpy(tmp_path):
+    pd = protocol_file(tmp_path, builtin("pavlov-pd"), "pd.txt")
+    majority = protocol_file(tmp_path, builtin("majority"), "majority.txt")
+    env = dict(os.environ, POPGAMES_NO_NUMBA="1")
+    commands = [
+        ["simulate", pd, "--init-states", "all-D", "--size", "3", "--trials", "5"],
+        ["search", "--states", "2", "--predicate", "n_1 >= 1", "--sizes", "2..3", "--json"],
+        ["check", "--pavlovian", majority],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE, *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)

@@ -44,7 +44,7 @@ print(json.dumps(out))
 """
 
 
-# BATTERY's output, recorded on the pure-numpy backend; every backend must
+# BATTERY's output, recorded on the plain-Python backend; every backend must
 # reproduce it byte for byte
 GOLDEN_TRACES = Path(__file__).with_name("golden_traces.json")
 
@@ -181,8 +181,16 @@ def test_splitmix64_matches_reference():
 def test_seed_state_shape_and_determinism():
     a = kernels.seed_state(7)
     b = kernels.seed_state(7)
-    assert a.dtype == np.uint64 and a.shape == (1,)
+    if NUMBA_ENABLED:
+        assert isinstance(a, np.ndarray) and a.dtype == np.uint64 and a.shape == (1,)
+    else:
+        assert isinstance(a, list) and len(a) == 1 and type(a[0]) is int
     assert int(kernels.next_u64(a)) == int(kernels.next_u64(b))
+    wrapped = kernels.seed_state(2**64 + 7)
+    fresh = kernels.seed_state(7)
+    assert [int(kernels.next_u64(wrapped)) for _ in range(5)] == [
+        int(kernels.next_u64(fresh)) for _ in range(5)
+    ]
 
 
 def test_rand_below_range_and_determinism():

@@ -1,20 +1,24 @@
 import dataclasses
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 import oracles
+from oracles import stop_output_window
 from popgames import (
     ProtocolError,
     builtin,
     config_of,
     monte_carlo,
     run,
-    stop_output_window,
 )
 from popgames.core import histogram
-from popgames.sim import InteractionGraph, counts_to_vertex_states
+from popgames.sim import InteractionGraph, _step_summary, counts_to_vertex_states
 
 
 def test_interaction_graph_validation():
@@ -289,6 +293,46 @@ def test_monte_carlo_no_successes_gives_null_stats():
     assert report.mean_steps is None
     assert report.median_steps is None
     assert report.p95_steps is None
+
+
+def numpy_summary(steps):
+    a = np.array(steps, dtype=np.float64)
+    return float(np.mean(a)), float(np.median(a)), float(np.percentile(a, 95))
+
+
+@st.composite
+def step_lists(draw):
+    """Sorted step counts up to 10^9: hypothesis's own short lists, or a drawn
+    length of 1-3,000 filled from a drawn seed, with few or many ties."""
+    values = st.integers(0, 10**9)
+    if draw(st.booleans()):
+        return sorted(draw(st.lists(values, min_size=1, max_size=3000)))
+    n = draw(st.integers(1, 3000))
+    top = draw(st.sampled_from([1, 40, 10**4, 10**9]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return sorted(rng.randint(0, top) for _ in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_lists())
+def test_step_summary_equals_numpy(steps):
+    assert _step_summary(steps) == numpy_summary(steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 2500])
+def test_step_summary_equals_numpy_at_fixed_lengths(n):
+    rng = random.Random(n)
+    for top in (1, 40, 10**9):
+        steps = sorted(rng.randint(0, top) for _ in range(n))
+        assert _step_summary(steps) == numpy_summary(steps)
+
+
+def test_monte_carlo_statistics_equal_numpy():
+    report = monte_carlo(builtin("pavlov-pd"), {"D": 5}, trials=300, seed=3)
+    steps = sorted(r.steps for r in report.runs if r.stabilized)
+    assert report.successes == len(steps) > 0
+    got = (report.mean_steps, report.median_steps, report.p95_steps)
+    assert got == numpy_summary(steps)
 
 
 def test_monte_carlo_rejects_zero_trials():
