@@ -1,0 +1,107 @@
+"""Time the exact-verification and Pavlovian-check layers in-process.
+
+    python3 benchmarks/bench_verify.py [--repeats 3]
+
+Two workloads, each timed best of `--repeats` after its inputs are built:
+
+  verify    stably_computes(symmetrize(majority), "n_0 >= n_1", sizes 2..10),
+            in configurations explored per second (21,489 configurations)
+  pavcheck  check_pavlovian (exact mode) on every symmetric deterministic
+            3-state dynamics (19,683), in protocols per second
+
+Each answer is checked before its time counts: the verdict must pass and the
+Pavlovian count must be 4,096.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import time
+
+from popgames import (
+    Protocol,
+    builtin,
+    check_pavlovian,
+    initial_config,
+    reachable,
+    stably_computes,
+    symmetrize,
+)
+from popgames.pavcheck import EXACT
+
+VERIFY_SIZES = range(2, 11)
+PREDICATE = "n_0 >= n_1"
+PAVLOVIAN_3STATE = 4_096
+
+
+def best_of(repeats: int, work) -> tuple[float, object]:
+    best, result = None, None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = work()
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def verify_workload(repeats: int) -> tuple[int, float]:
+    protocol = symmetrize(builtin("majority"))
+    alphabet = protocol.input_alphabet
+    configurations = 0
+    for n in VERIFY_SIZES:
+        for counts in itertools.product(range(n + 1), repeat=len(alphabet)):
+            if sum(counts) == n:
+                start = initial_config(protocol, dict(zip(alphabet, counts)))
+                configurations += len(reachable(protocol, start).nodes)
+    seconds, verdict = best_of(
+        repeats, lambda: stably_computes(protocol, PREDICATE, VERIFY_SIZES))
+    if not verdict.passed:
+        raise RuntimeError("symmetrized majority failed its predicate")
+    return configurations, seconds
+
+
+def three_state_dynamics() -> list[Protocol]:
+    k = 3
+    states = tuple(f"s{i}" for i in range(k))
+    off_pairs = [(q, r) for q in range(k) for r in range(q + 1, k)]
+    protocols = []
+    for diag in itertools.product(range(k), repeat=k):
+        for off in itertools.product(
+            itertools.product(range(k), repeat=2), repeat=len(off_pairs)
+        ):
+            rules = {(q, q): frozenset({(d, d)}) for q, d in enumerate(diag)}
+            for (q, r), (a, b) in zip(off_pairs, off):
+                rules[(q, r)] = frozenset({(a, b)})
+                rules[(r, q)] = frozenset({(b, a)})
+            protocols.append(Protocol(f"dyn-{len(protocols)}", states, rules))
+    return protocols
+
+
+def pavcheck_workload(repeats: int) -> tuple[int, float]:
+    protocols = three_state_dynamics()
+    seconds, results = best_of(
+        repeats, lambda: [check_pavlovian(p, EXACT) for p in protocols])
+    witnesses = sum(hasattr(r, "matrix") for r in results)
+    if witnesses != PAVLOVIAN_3STATE:
+        raise RuntimeError(f"{witnesses} Pavlovian dynamics, expected {PAVLOVIAN_3STATE}")
+    return len(protocols), seconds
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    print(f"{'workload':<10} {'work':>8} {'best s':>8} {'per second':>12}")
+    for name, unit, workload in (
+        ("verify", "configurations", verify_workload),
+        ("pavcheck", "protocols", pavcheck_workload),
+    ):
+        work, seconds = workload(args.repeats)
+        print(f"{name:<10} {work:>8} {seconds:>8.3f} {work / seconds:>12,.0f}  {unit}/s")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,8 +10,10 @@ configurations for restricted interaction graphs live in :mod:`popgames.sim`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 
 
 class ProtocolError(ValueError):
@@ -73,15 +75,41 @@ class Protocol:
         except ValueError:
             raise ProtocolError(f"unknown state {state!r}") from None
 
-    def is_identity_pair(self, q1: int, q2: int) -> bool:
-        return self.rules[(q1, q2)] == frozenset({(q1, q2)})
-
-    def non_identity_pairs(self) -> list[Pair]:
-        return sorted(p for p in self.rules if not self.is_identity_pair(*p))
-
     @property
     def state_count(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def moves(self) -> tuple[tuple[int, int, int, bool, tuple[Config, ...]], ...]:
+        """The count change of every successor, per unordered state pair.
+
+        One entry (q1, q2, need, keeps, deltas) per q1 <= q2 covers both
+        ordered pairs, which apply to the same configurations: those with an
+        agent in q1 and `need` agents (2 when q1 = q2, else 1) in q2.  `keeps`
+        says that an identity or swap successor leaves the configuration as
+        it is; `deltas` are the other successors' count changes, distinct
+        and sorted.
+        """
+        k = len(self.states)
+        table = []
+        for q1 in range(k):
+            for q2 in range(q1, k):
+                keeps = False
+                deltas = set()
+                pair_rules = self.rules.get((q1, q2), frozenset())
+                for a, b in pair_rules | self.rules.get((q2, q1), frozenset()):
+                    if sorted((a, b)) == [q1, q2]:
+                        keeps = True
+                        continue
+                    delta = [0] * k
+                    delta[q1] -= 1
+                    delta[q2] -= 1
+                    delta[a] += 1
+                    delta[b] += 1
+                    deltas.add(tuple(delta))
+                need = 2 if q1 == q2 else 1
+                table.append((q1, q2, need, keeps, tuple(sorted(deltas))))
+        return tuple(table)
 
 
 def make_protocol(
@@ -199,25 +227,21 @@ def successors(protocol: Protocol, config: Config) -> set[Config]:
 
     An ordered state pair (q1, q2) is applicable when both states are present,
     with at least two agents required for q1 = q2.  The configuration itself is
-    a successor whenever some applicable rule is the identity.
+    a successor whenever some applicable rule is an identity or a swap.
     """
-    if len(config) != protocol.state_count:
+    config = tuple(config)
+    if len(config) != len(protocol.states):
         raise ProtocolError(
             f"configuration length {len(config)} != state count {protocol.state_count}"
         )
     out: set[Config] = set()
-    for (q1, q2), succs in protocol.rules.items():
-        if config[q1] == 0 or config[q2] == 0:
+    for q1, q2, need, keeps, deltas in protocol.moves:
+        if config[q1] == 0 or config[q2] < need:
             continue
-        if q1 == q2 and config[q1] < 2:
-            continue
-        for a, b in succs:
-            nxt = list(config)
-            nxt[q1] -= 1
-            nxt[q2] -= 1
-            nxt[a] += 1
-            nxt[b] += 1
-            out.add(tuple(nxt))
+        if keeps:
+            out.add(config)
+        for delta in deltas:
+            out.add(tuple(map(add, config, delta)))
     return out
 
 
@@ -240,59 +264,54 @@ def histogram(protocol: Protocol, vertex_states: Iterable[int]) -> Config:
     return tuple(counts)
 
 
-def strongly_connected_components(
-    adjacency: Mapping[Hashable, Sequence[Hashable]],
-) -> list[list[Hashable]]:
-    """Iterative Tarjan over an adjacency mapping; SCCs in found order.
+def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan over nodes 0..n-1 given as successor-id lists; SCCs
+    in found order.
 
-    Every successor must itself be a key.  Components come out in reverse
-    topological order of the condensation: no component has an arc into a
-    later one.  Roots and arcs are visited in mapping and sequence order, so
-    the output is deterministic for a deterministic mapping.
+    Components come out in reverse topological order of the condensation: no
+    component has an arc into a later one.  Roots are visited in id order and
+    arcs in list order, so the output is deterministic.
     """
-    index: dict[Hashable, int] = {}
-    lowlink: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    components: list[list[Hashable]] = []
+    n = len(adjacency)
+    # A node's index is -1 until it is visited and n once its component is
+    # complete, so `index[w] < lowlink[v]` holds only for nodes on the stack.
+    index = [-1] * n
+    lowlink = [0] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
 
-    for root in adjacency:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adjacency[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            neighbors = adjacency[v]
-            while ei < len(neighbors):
-                w = neighbors[ei]
-                ei += 1
-                if w not in index:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adjacency[w])))
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
     return components

@@ -154,30 +154,33 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
     if bad is not None:
         raise ProtocolError(f"protocol is not symmetric, mirror of {bad} missing")
     n = protocol.state_count
-    variables = tuple(mat(i, j) for i in range(n) for j in range(n)) + (DELTA,)
-    system = ConstraintSystem(variables=variables)
+    entry = [[mat(i, j) for j in range(n)] for i in range(n)]
+    system = ConstraintSystem(variables=tuple(v for row in entry for v in row) + (DELTA,))
+    # every variable below is declared above, so the edges skip `_check`
+    le, lt = system.nonstrict.add, system.strict.add
     for q1 in range(n):
         for q2 in range(n):
+            m = entry[q1][q2]
             s_set = agent_successors(protocol, q1, q2)
             if s_set == {q1}:
-                system.add_le(DELTA, mat(q1, q2))
+                le((DELTA, m))
                 continue
             if q1 in s_set:
-                system.add_le(DELTA, mat(q1, q2))
-                system.add_lt(mat(q1, q2), DELTA)
+                le((DELTA, m))
+                lt((m, DELTA))
                 continue
-            system.add_lt(mat(q1, q2), DELTA)
+            lt((m, DELTA))
             for s in s_set:
                 for z in range(n):
                     if z == q1 or z == s:
                         continue
-                    system.add_le(mat(z, q2), mat(s, q2))
+                    le((entry[z][q2], entry[s][q2]))
             if mode == EXACT:
                 for z in range(n):
                     if z == q1 or z in s_set:
                         continue
                     for s in s_set:
-                        system.add_lt(mat(z, q2), mat(s, q2))
+                        lt((entry[z][q2], entry[s][q2]))
     return system
 
 
@@ -193,67 +196,59 @@ def solve_order_constraints(
     edges forcing a rank increase, which yields values bounded by the number
     of variables.
     """
-    # `_var_key` ranked once; edges sort by their endpoints' ranks
-    order = {v: r for r, v in enumerate(sorted(system.variables, key=_var_key))}
+    # variables are numbered by `_var_key` rank, so sorted id pairs are
+    # edges in rank order
+    ranked = sorted(system.variables, key=_var_key)
+    order = {v: r for r, v in enumerate(ranked)}
+    nonstrict = [(order[u], order[v]) for u, v in system.nonstrict]
+    strict = sorted((order[u], order[v]) for u, v in system.strict)
 
-    def edge_rank(edge: Edge) -> tuple[int, int]:
-        return (order[edge[0]], order[edge[1]])
-
-    adjacency: dict[Var, list[Var]] = {v: [] for v in system.variables}
-    for u, v in sorted(system.nonstrict | system.strict, key=edge_rank):
+    adjacency: list[list[int]] = [[] for _ in ranked]
+    for u, v in sorted({*nonstrict, *strict}):
         adjacency[u].append(v)
 
     components = strongly_connected_components(adjacency)
-    comp_of = {v: ci for ci, comp in enumerate(components) for v in comp}
+    comp_of = [0] * len(ranked)
+    for ci, comp in enumerate(components):
+        for v in comp:
+            comp_of[v] = ci
 
-    for u, v in sorted(system.strict, key=edge_rank):
+    for u, v in strict:
         if comp_of[u] == comp_of[v]:
-            return _certificate(system, adjacency, comp_of, u, v)
+            return _certificate(ranked, set(strict), adjacency, comp_of, u, v)
 
-    # Condensation DAG with strictness flags on the edges.
-    comp_count = len(components)
-    cond: dict[int, set[tuple[int, bool]]] = {c: set() for c in range(comp_count)}
-    indeg = [0] * comp_count
-    seen_edges: set[tuple[int, int, bool]] = set()
-    for strictness, pool in ((False, system.nonstrict), (True, system.strict)):
+    # Condensation DAG with a rank step of 1 on strict edges.  Components
+    # come out of Tarjan's search after every component they reach, so
+    # taking them last-found first visits each one after its predecessors.
+    out: list[set[tuple[int, int]]] = [set() for _ in components]
+    for step, pool in ((0, nonstrict), (1, strict)):
         for u, v in pool:
             cu, cv = comp_of[u], comp_of[v]
-            if cu == cv:
-                continue
-            key = (cu, cv, strictness)
-            if key not in seen_edges:
-                seen_edges.add(key)
-                cond[cu].add((cv, strictness))
-                indeg[cv] += 1
+            if cu != cv:
+                out[cu].add((cv, step))
+    rank = [0] * len(components)
+    for c in reversed(range(len(components))):
+        for d, step in out[c]:
+            if rank[c] + step > rank[d]:
+                rank[d] = rank[c] + step
 
-    rank = [0] * comp_count
-    queue = [c for c in range(comp_count) if indeg[c] == 0]
-    while queue:
-        c = queue.pop()
-        for d, strictness in cond[c]:
-            need = rank[c] + (1 if strictness else 0)
-            if need > rank[d]:
-                rank[d] = need
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-
-    return {v: rank[comp_of[v]] for v in system.variables}
+    return {v: rank[comp_of[order[v]]] for v in system.variables}
 
 
 def _certificate(
-    system: ConstraintSystem,
-    adjacency: dict[Var, list[Var]],
-    comp_of: dict[Var, int],
-    u: Var,
-    v: Var,
+    ranked: list[Var],
+    strict: set[tuple[int, int]],
+    adjacency: list[list[int]],
+    comp_of: list[int],
+    u: int,
+    v: int,
 ) -> UnsatCertificate:
     """Close the strict edge u < v into a cycle via a path v -> u inside its SCC."""
     target_comp = comp_of[u]
-    parents: dict[Var, Var] = {v: v}
+    parents = {v: v}
     frontier = [v]
     while frontier and u not in parents:
-        nxt: list[Var] = []
+        nxt: list[int] = []
         for x in frontier:
             for y in adjacency[x]:
                 if comp_of[y] == target_comp and y not in parents:
@@ -269,9 +264,10 @@ def _certificate(
     cycle = [u] + path
     strict_steps = [True]
     for k in range(1, len(cycle) - 1):
-        edge = (cycle[k], cycle[k + 1])
-        strict_steps.append(edge in system.strict)
-    return UnsatCertificate(cycle=tuple(cycle), strict_steps=tuple(strict_steps))
+        strict_steps.append((cycle[k], cycle[k + 1]) in strict)
+    return UnsatCertificate(
+        cycle=tuple(ranked[x] for x in cycle), strict_steps=tuple(strict_steps)
+    )
 
 
 def default_mode(protocol: Protocol) -> str:

@@ -56,7 +56,7 @@ class InteractionGraph:
         if self.vertex_count < 2:
             raise ProtocolError("graph needs at least 2 vertices")
         seen = set()
-        neighbours = {v: [] for v in range(self.vertex_count)}
+        neighbours = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             if u == v:
                 raise ProtocolError(f"self-loop at vertex {u}")

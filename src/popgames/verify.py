@@ -18,9 +18,10 @@ over input-symbol counts:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 
 from .core import (
     Config,
@@ -28,7 +29,6 @@ from .core import (
     ProtocolError,
     complete,
     config_to_dict,
-    initial_config,
     output_of_config,
     strongly_connected_components,
     successors,
@@ -339,16 +339,42 @@ def _eval(expr: PredicateExpr, counts: Mapping[str, int]) -> bool:
 
 @dataclass
 class ConfigGraph:
-    """Successor-closed node set; `parents` is the BFS tree when rooted."""
+    """A successor-closed set of configurations numbered 0..n-1.
 
-    root: tuple | None
-    nodes: dict[tuple, tuple[tuple, ...]]
-    parents: dict[tuple, tuple | None]
+    `succ[i]` lists the ids of the successors of `configs[i]`, sorted by
+    configuration.  A graph explored from one configuration has that root as
+    id 0 and its BFS tree in `parent` (-1 at the root); an unrooted graph has
+    an empty `parent`.
+    """
+
+    configs: list[tuple]
+    succ: list[list[int]]
+    parent: list[int]
+
+    @property
+    def root(self) -> tuple | None:
+        return self.configs[0] if self.parent else None
+
+    @cached_property
+    def nodes(self) -> Mapping[tuple, tuple[tuple, ...]]:
+        """Read-only view: each configuration and its successor configurations."""
+        configs = self.configs
+        return MappingProxyType(
+            {c: tuple(configs[j] for j in out) for c, out in zip(configs, self.succ)}
+        )
 
     def path_to(self, node: tuple) -> tuple[tuple, ...]:
-        path = [node]
-        while self.parents.get(path[-1]) is not None:
-            path.append(self.parents[path[-1]])
+        """The BFS-tree path from the root to `node`."""
+        if not self.parent:
+            raise ProtocolError(f"graph has no root: no path to {node}")
+        try:
+            i = self.configs.index(tuple(node))
+        except ValueError:
+            raise ProtocolError(f"configuration {node} is not in the graph") from None
+        path = []
+        while i >= 0:
+            path.append(self.configs[i])
+            i = self.parent[i]
         return tuple(reversed(path))
 
 
@@ -357,22 +383,34 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
     init = tuple(init)
     if sum(init) < 2:
         raise ProtocolError("population must have at least 2 agents")
-    nodes: dict[Config, tuple[Config, ...]] = {}
-    parents: dict[Config, Config | None] = {init: None}
-    queue = deque([init])
-    while queue:
-        node = queue.popleft()
-        succ = tuple(sorted(successors(protocol, node)))
-        nodes[node] = succ
-        for nxt in succ:
-            if nxt not in parents:
-                if len(parents) >= budget:
+    configs = [init]
+    ids = {init: 0}
+    parent = [-1]
+    succ = []
+    for i, node in enumerate(configs):  # visits the configurations appended below
+        out = []
+        for nxt in sorted(successors(protocol, node)):
+            j = ids.get(nxt)
+            if j is None:
+                j = len(configs)
+                if j >= budget:
                     raise BudgetExceeded(
                         f"reachable set exceeds {budget} configurations", budget
                     )
-                parents[nxt] = node
-                queue.append(nxt)
-    return ConfigGraph(root=init, nodes=nodes, parents=parents)
+                ids[nxt] = j
+                configs.append(nxt)
+                parent.append(i)
+            out.append(j)
+        succ.append(out)
+    return ConfigGraph(configs, succ, parent)
+
+
+def _numbered(configs: list[tuple], successors_of) -> ConfigGraph:
+    """Unrooted graph over `configs`, with each successor set given by
+    configuration and sorted into ids."""
+    ids = {c: i for i, c in enumerate(configs)}
+    succ = [[ids[c] for c in sorted(successors_of(node))] for node in configs]
+    return ConfigGraph(configs, succ, [])
 
 
 def full_multiset_graph(protocol: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
@@ -380,8 +418,7 @@ def full_multiset_graph(protocol: Protocol, n: int, budget: int = DEFAULT_BUDGET
     configs = list(_compositions(n, protocol.state_count))
     if len(configs) > budget:
         raise BudgetExceeded(f"{len(configs)} configurations exceed {budget}", budget)
-    nodes = {c: tuple(sorted(successors(protocol, c))) for c in configs}
-    return ConfigGraph(root=None, nodes=nodes, parents={})
+    return _numbered(configs, lambda c: successors(protocol, c))
 
 
 def full_vertex_graph(
@@ -393,8 +430,8 @@ def full_vertex_graph(
         raise BudgetExceeded(
             f"{k}^{graph.vertex_count} assignments exceed {budget}", budget
         )
-    nodes: dict[tuple, tuple[tuple, ...]] = {}
-    for assignment in itertools.product(range(k), repeat=graph.vertex_count):
+
+    def vertex_successors(assignment):
         succ = set()
         for u, v in graph.edges:
             for x, y in ((u, v), (v, u)):
@@ -403,22 +440,31 @@ def full_vertex_graph(
                     nxt[x] = a
                     nxt[y] = b
                     succ.add(tuple(nxt))
-        nodes[assignment] = tuple(sorted(succ))
-    return ConfigGraph(root=None, nodes=nodes, parents={})
+        return succ
+
+    configs = list(itertools.product(range(k), repeat=graph.vertex_count))
+    return _numbered(configs, vertex_successors)
 
 
 def bottom_sccs(graph: ConfigGraph) -> list[frozenset]:
     """SCCs of the condensation with no outgoing arc, in deterministic order."""
-    components = strongly_connected_components(graph.nodes)
-    comp_of: dict[tuple, int] = {}
+    succ = graph.succ
+    components = strongly_connected_components(succ)
+    comp_of = [0] * len(succ)
     for ci, comp in enumerate(components):
-        for node in comp:
-            comp_of[node] = ci
-    bottoms = []
-    for ci, comp in enumerate(components):
-        if all(comp_of[w] == ci for v in comp for w in graph.nodes[v]):
-            bottoms.append(frozenset(comp))
-    bottoms.sort(key=lambda scc: min(scc))
+        for v in comp:
+            comp_of[v] = ci
+    # components with an arc into another component
+    exits = {
+        comp_of[v] for v, out in enumerate(succ) for w in out if comp_of[w] != comp_of[v]
+    }
+    configs = graph.configs
+    bottoms = [
+        frozenset([configs[v] for v in comp])
+        for ci, comp in enumerate(components)
+        if ci not in exits
+    ]
+    bottoms.sort(key=min)
     return bottoms
 
 
@@ -562,24 +608,45 @@ def stably_computes(
             f"predicate symbol(s) not in input alphabet: {sorted(unknown)}"
         )
     sizes = _check_sizes(sizes)
-    alphabet = protocol.input_alphabet
+    alphabet = tuple(protocol.input_alphabet)
+    for sym in alphabet:
+        if sym not in protocol.input_map:
+            raise ProtocolError(f"unknown input symbol {sym!r}")
+    targets = [protocol.input_map[sym] for sym in alphabet]
+    blank = [0] * protocol.state_count
 
-    def cases():
-        for n in sizes:
-            for counts in _compositions(n, len(alphabet)):
-                multiset = dict(zip(alphabet, counts))
-                expected = eval_predicate(expr, multiset)
-                init = initial_config(protocol, multiset)
-                yield tuple(zip(alphabet, counts)), init, expected
+    def start(counts):
+        init = blank.copy()
+        for q, c in zip(targets, counts):
+            init[q] += c
+        return tuple(init)
 
     return _check_bottoms(
         protocol,
-        cases(),
-        lambda config: output_of_config(protocol, config),
+        (
+            (label, start(counts), expected)
+            for label, counts, expected in _input_cases(expr, alphabet, sizes)
+        ),
+        partial(output_of_config, protocol),
         "output",
         sizes,
         budget,
     )
+
+
+@lru_cache(maxsize=16)
+def _input_cases(
+    expr: PredicateExpr, alphabet: tuple[str, ...], sizes: tuple[int, ...]
+) -> tuple[tuple[tuple[tuple[str, int], ...], Config, int], ...]:
+    """(input label, symbol counts, predicate value) for every input multiset
+    of each size, in order.  Cached: a search checks many candidates against
+    the same inputs."""
+    cases = []
+    for n in sizes:
+        for counts in _compositions(n, len(alphabet)):
+            label = tuple(zip(alphabet, counts))
+            cases.append((label, counts, eval_predicate(expr, dict(label))))
+    return tuple(cases)
 
 
 def leader_count(protocol: Protocol, config: Config, leader_states: Iterable[str]) -> int:

@@ -108,7 +108,7 @@ def test_derive_leaves_io_unset():
 def test_derive_constant_game_identity_only():
     g = constant_game(value=5, threshold=3)
     derived = derive_protocol(g, ALL_TIES)
-    assert derived.non_identity_pairs() == []
+    assert all(succs == {pair} for pair, succs in derived.rules.items())
 
 
 def test_derived_protocols_are_symmetric():

@@ -31,11 +31,11 @@ def adjacency_dicts(draw):
 @settings(max_examples=300, deadline=None)
 @given(adjacency_dicts())
 def test_bottoms_match_reference(adjacency):
-    got = bottom_sccs(ConfigGraph(root=None, nodes=adjacency, parents={}))
+    got = bottom_sccs(ConfigGraph(list(adjacency), list(adjacency.values()), []))
     assert set(got) == set(oracles.bottom_sccs_of(adjacency))
     assert got == sorted(got, key=min)
 
-    components = strongly_connected_components(adjacency)
+    components = strongly_connected_components(list(adjacency.values()))
     assert sorted(v for comp in components for v in comp) == sorted(adjacency)
     position = {v: ci for ci, comp in enumerate(components) for v in comp}
     for v, succ in adjacency.items():

@@ -4,6 +4,8 @@ stable computation and leader election, and the small-protocol search."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popgames import (
     BudgetExceeded,
@@ -13,6 +15,7 @@ from popgames import (
     bottom_sccs,
     builtin,
     candidate_count,
+    complete,
     config_of,
     eval_predicate,
     full_multiset_graph,
@@ -197,6 +200,73 @@ def test_full_vertex_graph_pd_ring():
     assert bottom_sccs(graph) == [frozenset({(0, 0, 0)})]
     with pytest.raises(BudgetExceeded):
         full_vertex_graph(pd, InteractionGraph.ring(20), budget=100)
+
+
+def test_path_to_refuses_configurations_outside_the_graph():
+    graph = reachable(builtin("or"), (2, 1))
+    with pytest.raises(ProtocolError, match=r"configuration \(3, 0\) is not in the graph"):
+        graph.path_to((3, 0))
+    full = full_multiset_graph(builtin("or"), 3)
+    with pytest.raises(ProtocolError, match=r"graph has no root.*\(3, 0\)"):
+        full.path_to((3, 0))
+
+
+@st.composite
+def protocols_and_starts(draw):
+    """A 2-4-state protocol whose pairs are identities, swaps or random
+    (often nondeterministic) successor sets, and an agent tuple of 2-6."""
+    k = draw(st.integers(2, 4))
+    state = st.integers(0, k - 1)
+    rules = {}
+    for q1 in range(k):
+        for q2 in range(k):
+            kind = draw(st.sampled_from(("identity", "swap", "random")))
+            if kind == "swap":
+                rules[(q1, q2)] = {(q2, q1)}
+            elif kind == "random":
+                rules[(q1, q2)] = draw(
+                    st.sets(st.tuples(state, state), min_size=1, max_size=3)
+                )
+    agents = tuple(draw(st.lists(state, min_size=2, max_size=6)))
+    protocol = Protocol(name="random", states=tuple(f"q{i}" for i in range(k)),
+                        rules=complete(rules, k))
+    return protocol, agents
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocols_and_starts())
+def test_reachable_matches_agent_semantics(case):
+    """The numbered BFS against the per-agent oracle projected to counts:
+    nodes, successor lists, BFS paths, bottom SCCs and the budget edge."""
+    protocol, agents = case
+    k = protocol.state_count
+    agent_graph = oracles.agent_reachable(protocol.rules, agents)
+    projected = {}
+    for node, succs in agent_graph.items():
+        projected[oracles.counts_of(node, k)] = sorted(
+            {oracles.counts_of(s, k) for s in succs}
+        )
+
+    init = oracles.counts_of(agents, k)
+    graph = reachable(protocol, init)
+    assert set(graph.nodes) == set(projected)
+    for config, succs in graph.nodes.items():
+        assert list(succs) == projected[config]
+    for config in graph.nodes:
+        path = graph.path_to(config)
+        assert path[0] == init and path[-1] == config
+        assert all(b in projected[a] for a, b in zip(path, path[1:]))
+    got = bottom_sccs(graph)
+    assert set(got) == {
+        frozenset(oracles.counts_of(node, k) for node in comp)
+        for comp in oracles.bottom_sccs_of(agent_graph)
+    }
+    assert got == sorted(got, key=min)
+
+    assert len(reachable(protocol, init, budget=len(projected)).nodes) == len(projected)
+    if len(projected) > 1:
+        with pytest.raises(BudgetExceeded):
+            reachable(protocol, init, budget=len(projected) - 1)
 
 
 def test_bottom_scc_weak_xor_pair():
