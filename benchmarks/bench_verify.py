@@ -1,43 +1,62 @@
-"""Time the exact-verification and Pavlovian-check layers in-process.
+"""Time the exact-verification, Pavlovian-check and search layers in-process.
 
     python3 benchmarks/bench_verify.py [--repeats 3]
 
-Two workloads, each timed best of `--repeats` after its inputs are built:
+Three workloads, each timed best of `--repeats` after its inputs are built:
 
   verify    stably_computes(symmetrize(majority), "n_0 >= n_1", sizes 2..10),
             in configurations explored per second (21,489 configurations)
   pavcheck  check_pavlovian (exact mode) on every symmetric deterministic
             3-state dynamics (19,683), in protocols per second
+  search    popgames search --states 3 --predicate "n_1 >= 1" --sizes 2..4
+            --json, in candidates per second (472,392 candidates; about 20 s
+            per repeat)
 
-Each answer is checked before its time counts: the verdict must pass and the
-Pavlovian count must be 4,096.
+`reachable` keeps the graphs of the last move table it explored, so before
+each timed verify repeat the benchmark explores another protocol (or, from
+one start), which empties that memo: every repeat explores all 21,489
+configurations again.  Each answer is checked before its time counts: the
+verdict must pass, the Pavlovian count must be 4,096, and the search JSON
+must have the sha256 below.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import itertools
 import time
 
 from popgames import (
     Protocol,
     builtin,
+    candidate_count,
     check_pavlovian,
     initial_config,
     reachable,
     stably_computes,
     symmetrize,
 )
+from popgames.cli import main as popgames_main
 from popgames.pavcheck import EXACT
 
 VERIFY_SIZES = range(2, 11)
 PREDICATE = "n_0 >= n_1"
 PAVLOVIAN_3STATE = 4_096
+SEARCH_3STATE = ["search", "--states", "3", "--predicate", "n_1 >= 1",
+                 "--sizes", "2..4", "--json"]
+SEARCH_3STATE_SHA256 = "7b9fda9015b7e49fa8799737d60279b136a8becca6455c1c7c2092967eed81eb"
 
 
-def best_of(repeats: int, work) -> tuple[float, object]:
+def best_of(repeats: int, work, before=None) -> tuple[float, object]:
+    """Best time of `repeats` calls of `work`, each after an untimed
+    `before()` when one is given, and the last call's result."""
     best, result = None, None
     for _ in range(repeats):
+        if before is not None:
+            before()
         t0 = time.perf_counter()
         result = work()
         elapsed = time.perf_counter() - t0
@@ -54,8 +73,12 @@ def verify_workload(repeats: int) -> tuple[int, float]:
             if sum(counts) == n:
                 start = initial_config(protocol, dict(zip(alphabet, counts)))
                 configurations += len(reachable(protocol, start).nodes)
+    other = builtin("or")
     seconds, verdict = best_of(
-        repeats, lambda: stably_computes(protocol, PREDICATE, VERIFY_SIZES))
+        repeats,
+        lambda: stably_computes(protocol, PREDICATE, VERIFY_SIZES),
+        before=lambda: reachable(other, (1, 1)),
+    )
     if not verdict.passed:
         raise RuntimeError("symmetrized majority failed its predicate")
     return configurations, seconds
@@ -88,6 +111,20 @@ def pavcheck_workload(repeats: int) -> tuple[int, float]:
     return len(protocols), seconds
 
 
+def search_workload(repeats: int) -> tuple[int, float]:
+    def search() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            popgames_main(SEARCH_3STATE)
+        return out.getvalue()
+
+    seconds, output = best_of(repeats, search)
+    digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+    if digest != SEARCH_3STATE_SHA256:
+        raise RuntimeError(f"search JSON has sha256 {digest}, expected {SEARCH_3STATE_SHA256}")
+    return candidate_count(3, 1), seconds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -98,6 +135,7 @@ def main() -> None:
     for name, unit, workload in (
         ("verify", "configurations", verify_workload),
         ("pavcheck", "protocols", pavcheck_workload),
+        ("search", "candidates", search_workload),
     ):
         work, seconds = workload(args.repeats)
         print(f"{name:<10} {work:>8} {seconds:>8.3f} {work / seconds:>12,.0f}  {unit}/s")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .core import (
     Protocol,
@@ -184,6 +185,14 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
     return system
 
 
+@lru_cache(maxsize=8)
+def _ranking(variables: tuple[Var, ...]) -> tuple[tuple[Var, ...], dict[Var, int]]:
+    """The variables sorted by `_var_key`, and each one's rank.  Cached: every
+    system of one state count declares the same variables.  Read-only."""
+    ranked = tuple(sorted(variables, key=_var_key))
+    return ranked, {v: r for r, v in enumerate(ranked)}
+
+
 def solve_order_constraints(
     system: ConstraintSystem,
 ) -> dict[Var, int] | UnsatCertificate:
@@ -198,8 +207,7 @@ def solve_order_constraints(
     """
     # variables are numbered by `_var_key` rank, so sorted id pairs are
     # edges in rank order
-    ranked = sorted(system.variables, key=_var_key)
-    order = {v: r for r, v in enumerate(ranked)}
+    ranked, order = _ranking(system.variables)
     nonstrict = [(order[u], order[v]) for u, v in system.nonstrict]
     strict = sorted((order[u], order[v]) for u, v in system.strict)
 
@@ -236,7 +244,7 @@ def solve_order_constraints(
 
 
 def _certificate(
-    ranked: list[Var],
+    ranked: tuple[Var, ...],
     strict: set[tuple[int, int]],
     adjacency: list[list[int]],
     comp_of: list[int],
@@ -289,6 +297,12 @@ def _is_cross_product(protocol: Protocol) -> tuple[int, int, int, int] | None:
     return None
 
 
+# The last answer of `check_pavlovian` and its key, as one tuple that is
+# read and replaced whole, so concurrent callers never pair one key with
+# another's answer.
+_last_check: tuple = (None, None)
+
+
 def check_pavlovian(
     protocol: Protocol, mode: str | None = None
 ) -> Witness | NotPavlovian:
@@ -299,12 +313,27 @@ def check_pavlovian(
     set exactly; in subset mode the derived sets may be supersets, leaving tie
     pruning to the protocol.  The default mode follows `default_mode`.  A
     returned witness is re-derived and compared before being handed out.
+
+    The answer depends only on the states, the rule table and the mode, so
+    the last one is kept: checking the same dynamics again, with any input
+    and output maps, returns it at once.
     """
+    global _last_check
     if mode is None:
         mode = default_mode(protocol)
     if mode not in (EXACT, SUBSET):
         raise ProtocolError(f"unknown check mode {mode!r}")
+    key = (protocol.states, tuple(protocol.rules.items()), mode)
+    last_key, last_answer = _last_check
+    if last_key == key:
+        return last_answer
 
+    answer = _check(protocol, mode)
+    _last_check = (key, answer)
+    return answer
+
+
+def _check(protocol: Protocol, mode: str) -> Witness | NotPavlovian:
     bad = symmetry_violation(protocol)
     if bad is not None:
         return NotPavlovian(reason="not symmetric", violating_tuple=bad)

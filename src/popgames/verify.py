@@ -18,6 +18,7 @@ over input-symbol counts:
 from __future__ import annotations
 
 import itertools
+import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -337,19 +338,23 @@ def _eval(expr: PredicateExpr, counts: Mapping[str, int]) -> bool:
 # reachability and bottom SCCs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigGraph:
-    """A successor-closed set of configurations numbered 0..n-1.
+    """A successor-closed set of configurations numbered 0..n-1, as a
+    read-only value.
 
     `succ[i]` lists the ids of the successors of `configs[i]`, sorted by
     configuration.  A graph explored from one configuration has that root as
     id 0 and its BFS tree in `parent` (-1 at the root); an unrooted graph has
-    an empty `parent`.
+    an empty `parent`.  Fields cannot be reassigned and hold tuples, so one
+    graph may be handed to many callers: `reachable` returns the same graph
+    again for the same dynamics and start.  The `nodes` view and the bottom
+    SCCs are computed once, on first use.
     """
 
-    configs: list[tuple]
-    succ: list[list[int]]
-    parent: list[int]
+    configs: tuple[Config, ...]
+    succ: tuple[tuple[int, ...], ...]
+    parent: tuple[int, ...]
 
     @property
     def root(self) -> tuple | None:
@@ -362,6 +367,27 @@ class ConfigGraph:
         return MappingProxyType(
             {c: tuple(configs[j] for j in out) for c, out in zip(configs, self.succ)}
         )
+
+    @cached_property
+    def _bottom_sccs(self) -> tuple[frozenset, ...]:
+        succ = self.succ
+        components = strongly_connected_components(succ)
+        comp_of = [0] * len(succ)
+        for ci, comp in enumerate(components):
+            for v in comp:
+                comp_of[v] = ci
+        # components with an arc into another component
+        exits = {
+            comp_of[v] for v, out in enumerate(succ) for w in out if comp_of[w] != comp_of[v]
+        }
+        configs = self.configs
+        bottoms = [
+            frozenset([configs[v] for v in comp])
+            for ci, comp in enumerate(components)
+            if ci not in exits
+        ]
+        bottoms.sort(key=min)
+        return tuple(bottoms)
 
     def path_to(self, node: tuple) -> tuple[tuple, ...]:
         """The BFS-tree path from the root to `node`."""
@@ -378,11 +404,55 @@ class ConfigGraph:
         return tuple(reversed(path))
 
 
+# `reachable` keeps the graphs of the last move table it explored, by start,
+# up to this many configurations in all.
+EXPLORED_CAP = 1 << 14
+
+
+class _Explored:
+    """Graphs explored under one move table, by start."""
+
+    __slots__ = ("moves", "graphs", "held")
+
+    def __init__(self, moves):
+        self.moves = moves
+        self.graphs: dict[Config, ConfigGraph] = {}
+        self.held = 0  # configurations in `graphs`
+
+
+_explored = _Explored(None)
+_explored_lock = threading.Lock()
+
+
+def _budget_exceeded(budget: int) -> BudgetExceeded:
+    return BudgetExceeded(f"reachable set exceeds {budget} configurations", budget)
+
+
 def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
-    """Breadth-first closure of one initial configuration under single interactions."""
+    """Breadth-first closure of one initial configuration under single
+    interactions; BudgetExceeded when it has more than `budget` configurations.
+
+    The graph depends only on the move table and the start, so the graphs of
+    the last move table explored are kept (at most EXPLORED_CAP
+    configurations): exploring it again from a start it was explored from
+    returns the same graph, whatever input and output maps the protocol has.
+    """
+    global _explored
     init = tuple(init)
     if sum(init) < 2:
         raise ProtocolError("population must have at least 2 agents")
+    moves = protocol.moves
+    memo = _explored
+    if memo.moves != moves:
+        memo = _explored = _Explored(moves)
+    graph = memo.graphs.get(init)
+    if graph is not None:
+        if len(graph.configs) > budget:
+            raise _budget_exceeded(budget)
+        return graph
+
+    if budget < 1:
+        raise _budget_exceeded(budget)
     configs = [init]
     ids = {init: 0}
     parent = [-1]
@@ -394,23 +464,26 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
             if j is None:
                 j = len(configs)
                 if j >= budget:
-                    raise BudgetExceeded(
-                        f"reachable set exceeds {budget} configurations", budget
-                    )
+                    raise _budget_exceeded(budget)
                 ids[nxt] = j
                 configs.append(nxt)
                 parent.append(i)
             out.append(j)
-        succ.append(out)
-    return ConfigGraph(configs, succ, parent)
+        succ.append(tuple(out))
+    graph = ConfigGraph(tuple(configs), tuple(succ), tuple(parent))
+    with _explored_lock:
+        if memo.held + len(configs) <= EXPLORED_CAP:
+            memo.held += len(configs)
+            memo.graphs[init] = graph
+    return graph
 
 
 def _numbered(configs: list[tuple], successors_of) -> ConfigGraph:
     """Unrooted graph over `configs`, with each successor set given by
     configuration and sorted into ids."""
     ids = {c: i for i, c in enumerate(configs)}
-    succ = [[ids[c] for c in sorted(successors_of(node))] for node in configs]
-    return ConfigGraph(configs, succ, [])
+    succ = tuple(tuple(ids[c] for c in sorted(successors_of(node))) for node in configs)
+    return ConfigGraph(tuple(configs), succ, ())
 
 
 def full_multiset_graph(protocol: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
@@ -447,25 +520,9 @@ def full_vertex_graph(
 
 
 def bottom_sccs(graph: ConfigGraph) -> list[frozenset]:
-    """SCCs of the condensation with no outgoing arc, in deterministic order."""
-    succ = graph.succ
-    components = strongly_connected_components(succ)
-    comp_of = [0] * len(succ)
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    # components with an arc into another component
-    exits = {
-        comp_of[v] for v, out in enumerate(succ) for w in out if comp_of[w] != comp_of[v]
-    }
-    configs = graph.configs
-    bottoms = [
-        frozenset([configs[v] for v in comp])
-        for ci, comp in enumerate(components)
-        if ci not in exits
-    ]
-    bottoms.sort(key=min)
-    return bottoms
+    """SCCs of the condensation with no outgoing arc, in deterministic order;
+    a new list on every call."""
+    return list(graph._bottom_sccs)
 
 
 # ---------------------------------------------------------------------------
@@ -742,13 +799,14 @@ def iter_search_pavlovian(
             for (q, r), (a, b) in zip(off_pairs, off):
                 rules[(q, r)] = frozenset({(a, b)})
                 rules[(r, q)] = frozenset({(b, a)})
+            rules = complete(rules, k)
             for iota in itertools.product(range(k), repeat=len(alphabet)):
                 for omega in itertools.product((0, 1), repeat=k):
                     index += 1
                     protocol = Protocol(
                         name=f"search-{k}s-{index}",
                         states=states,
-                        rules=complete(rules, k),
+                        rules=dict(rules),
                         input_alphabet=alphabet,
                         input_map=dict(zip(alphabet, iota)),
                         output_map=tuple(omega),

@@ -1,7 +1,10 @@
 """Exhaustive verification: predicate language, reachability, bottom SCCs,
 stable computation and leader election, and the small-protocol search."""
 
+import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,10 @@ from popgames import (
     search_pavlovian,
     stable_leader,
     stably_computes,
+    symmetrize,
 )
-from popgames.pavcheck import EXACT, witness_reproduces
+from popgames import verify
+from popgames.pavcheck import EXACT, check_pavlovian, witness_reproduces
 from popgames.sim import InteractionGraph
 from popgames.verify import And, Comparison, Congruence, LinearForm, Not, Or
 
@@ -184,6 +189,15 @@ def test_reachable_budget():
     assert err.value.budget == 2
 
 
+def test_budget_counts_the_root():
+    majority = builtin("majority")
+    with pytest.raises(BudgetExceeded):
+        reachable(majority, (2, 0, 0, 0), 0)
+    assert reachable(majority, (2, 0, 0, 0), 1).configs == ((2, 0, 0, 0),)
+    with pytest.raises(BudgetExceeded):
+        reachable(majority, (2, 0, 0, 0), 0)
+
+
 def test_full_multiset_graph_or():
     graph = full_multiset_graph(builtin("or"), 3)
     assert set(graph.nodes) == {(3, 0), (2, 1), (1, 2), (0, 3)}
@@ -264,9 +278,8 @@ def test_reachable_matches_agent_semantics(case):
     assert got == sorted(got, key=min)
 
     assert len(reachable(protocol, init, budget=len(projected)).nodes) == len(projected)
-    if len(projected) > 1:
-        with pytest.raises(BudgetExceeded):
-            reachable(protocol, init, budget=len(projected) - 1)
+    with pytest.raises(BudgetExceeded):
+        reachable(protocol, init, budget=len(projected) - 1)
 
 
 def test_bottom_scc_weak_xor_pair():
@@ -279,6 +292,156 @@ def test_bottom_scc_two_leader_cycle():
     p = builtin("leader-pavlovian")
     graph = reachable(p, config_of(p, {"L1": 2}))
     assert bottom_sccs(graph) == [frozenset({(2, 0, 0), (0, 2, 0)})]
+
+
+# ---------------------------------------------------------------------------
+# explorations and checks shared between protocols of one dynamics
+
+
+def oracle_nodes(protocol, start):
+    """The per-agent graph from `start` projected to counts: each
+    configuration and its sorted successor configurations."""
+    k = protocol.state_count
+    agents = tuple(q for q, c in enumerate(start) for _ in range(c))
+    nodes = {}
+    for node, succs in oracles.agent_reachable(protocol.rules, agents).items():
+        nodes[oracles.counts_of(node, k)] = tuple(
+            sorted({oracles.counts_of(s, k) for s in succs})
+        )
+    return nodes
+
+
+def oracle_passes(protocol, predicate, sizes):
+    """Per input label: every bottom-SCC configuration of the per-agent graph
+    outputs the predicate's value."""
+    expr = parse_predicate(predicate)
+    alphabet = protocol.input_alphabet
+    out = {}
+    for n in sizes:
+        for counts in oracles.compositions(n, len(alphabet)):
+            label = tuple(zip(alphabet, counts))
+            expected = eval_predicate(expr, dict(label))
+            agents = tuple(protocol.input_map[s] for s, c in label for _ in range(c))
+            graph = oracles.agent_reachable(protocol.rules, agents)
+            out[label] = all(
+                oracles.config_output(
+                    protocol.output_map, oracles.counts_of(node, protocol.state_count)
+                ) == expected
+                for comp in oracles.bottom_sccs_of(graph)
+                for node in comp
+            )
+    return out
+
+
+def test_interleaved_dynamics_get_their_own_answers():
+    """or, and, or again, then or's dynamics under another output map: all
+    four share their starts, and every answer is the oracle's, or for the
+    Pavlovian check a witness that re-derives the protocol."""
+    a, b = builtin("or"), builtin("and")
+    a_flipped = dataclasses.replace(a, name="or-flipped", output_map=(1, 0))
+    sizes = (2, 3, 4)
+    starts = [c for n in sizes for c in oracles.compositions(n, 2)]
+    witnesses = []
+    for protocol, predicate in (
+        (a, "n_1 >= 1"), (b, "n_0 = 0"), (a, "n_1 >= 1"), (a_flipped, "n_1 = 0"),
+    ):
+        for start in starts:
+            graph = reachable(protocol, start)
+            assert graph.nodes == oracle_nodes(protocol, start)
+            assert set(bottom_sccs(graph)) == oracles.project_bottoms(
+                protocol.rules, tuple(q for q, c in enumerate(start) for _ in range(c)), 2
+            )
+        verdict = stably_computes(protocol, predicate, sizes)
+        assert {r.input: r.passed for r in verdict.per_input} == oracle_passes(
+            protocol, predicate, sizes
+        )
+        witness = check_pavlovian(protocol)
+        assert witness_reproduces(witness, protocol, EXACT)
+        witnesses.append(witness)
+    assert witnesses[0] != witnesses[1]
+    assert witnesses[0] == witnesses[2] == witnesses[3]
+
+
+def test_explored_graphs_are_read_only_values():
+    protocol = builtin("weak-xor")
+    graph = reachable(protocol, (1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.configs = ()
+    assert isinstance(graph.configs, tuple) and isinstance(graph.succ[0], tuple)
+    bottoms = bottom_sccs(graph)
+    expected = list(bottoms)
+    bottoms.append(frozenset({(3, 0)}))
+    bottoms[0] = frozenset()
+    assert bottom_sccs(graph) == expected
+    # the same dynamics from the same start, under other maps: one graph
+    other = dataclasses.replace(protocol, name="weak-xor-flipped", output_map=(1, 0))
+    assert reachable(other, (1, 2)) is graph
+
+
+def test_a_repeated_exploration_keeps_its_budget():
+    protocol = builtin("leader-pavlovian")
+    start = config_of(protocol, {"L1": 3, "N": 3})
+    size = len(reachable(protocol, start).configs)
+    assert len(reachable(protocol, start, budget=size).configs) == size
+    for budget in (size - 1, 1, 0):
+        with pytest.raises(BudgetExceeded) as err:
+            reachable(protocol, start, budget=budget)
+        assert err.value.budget == budget
+
+
+def test_exploration_memo_is_bounded():
+    verdict = stably_computes(symmetrize(builtin("majority")), "n_0 >= n_1", range(2, 11))
+    assert verdict.passed
+    held = sum(len(g.configs) for g in verify._explored.graphs.values())
+    assert held == verify._explored.held
+    assert 0 < held <= verify.EXPLORED_CAP
+
+
+def test_threads_alternating_dynamics_get_their_own_answers():
+    """Two threads walk or and and in opposite orders, with a short switch
+    interval so that they interleave inside the calls."""
+    protocols = {"or": (builtin("or"), "n_1 >= 1"), "and": (builtin("and"), "n_0 = 0")}
+    sizes = (2, 3)
+    starts = [c for n in sizes for c in oracles.compositions(n, 2)]
+    expected = {}
+    for name, (protocol, predicate) in protocols.items():
+        witness = check_pavlovian(protocol)
+        assert witness_reproduces(witness, protocol, EXACT)
+        expected[name] = (
+            [oracle_nodes(protocol, s) for s in starts],
+            oracle_passes(protocol, predicate, sizes),
+            witness,
+        )
+    assert expected["or"][2] != expected["and"][2]
+    errors = []
+
+    def walk(order):
+        for _ in range(150):
+            for name in order:
+                protocol, predicate = protocols[name]
+                nodes, passes, witness = expected[name]
+                if [dict(reachable(protocol, s).nodes) for s in starts] != nodes:
+                    errors.append((name, "reachable"))
+                verdict = stably_computes(protocol, predicate, sizes)
+                if {r.input: r.passed for r in verdict.per_input} != passes:
+                    errors.append((name, "stably_computes"))
+                if check_pavlovian(protocol) != witness:
+                    errors.append((name, "check_pavlovian"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=walk, args=(order,))
+            for order in (("or", "and"), ("and", "or"))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 # ---------------------------------------------------------------------------
