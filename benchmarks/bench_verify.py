@@ -72,7 +72,7 @@ def verify_workload(repeats: int) -> tuple[int, float]:
         for counts in itertools.product(range(n + 1), repeat=len(alphabet)):
             if sum(counts) == n:
                 start = initial_config(protocol, dict(zip(alphabet, counts)))
-                configurations += len(reachable(protocol, start).nodes)
+                configurations += len(reachable(protocol, start).configs)
     other = builtin("or")
     seconds, verdict = best_of(
         repeats,

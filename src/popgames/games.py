@@ -170,16 +170,3 @@ def prisoners_dilemma(params: PrisonerParams, threshold: Rational | None = None)
         ((params.r, params.s), (params.t, params.p)),
         threshold,
     )
-
-
-def affine_rescale(game: Game, scale: Rational, offset: Rational) -> Game:
-    """Apply x -> scale*x + offset (scale > 0) to all payoffs and the threshold."""
-    a, b = Fraction(scale), Fraction(offset)
-    if a <= 0:
-        raise ProtocolError(f"scale must be positive, got {a}")
-    return Game(
-        name=game.name,
-        strategies=game.strategies,
-        payoff=tuple(tuple(a * x + b for x in row) for row in game.payoff),
-        threshold=a * game.threshold + b,
-    )

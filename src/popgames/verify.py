@@ -34,7 +34,7 @@ from .core import (
     strongly_connected_components,
     successors,
 )
-from .pavcheck import EXACT, NotPavlovian, Witness, check_pavlovian
+from .pavcheck import EXACT, NotPavlovian, check_pavlovian
 
 DEFAULT_BUDGET = 500_000
 
@@ -301,17 +301,8 @@ def predicate_symbols(expr: PredicateExpr) -> frozenset[str]:
     return predicate_symbols(expr.left) | predicate_symbols(expr.right)
 
 
-def eval_predicate(
-    expr: PredicateExpr, counts: Mapping[str, int], alphabet: Iterable[str] | None = None
-) -> int:
-    """0/1 value on an input multiset; symbols absent from `counts` count 0.
-    With `alphabet` given, symbols outside it are rejected."""
-    if alphabet is not None:
-        unknown = predicate_symbols(expr) - set(alphabet)
-        if unknown:
-            raise ProtocolError(
-                f"predicate symbol(s) not in input alphabet: {sorted(unknown)}"
-            )
+def eval_predicate(expr: PredicateExpr, counts: Mapping[str, int]) -> int:
+    """0/1 value on an input multiset; symbols absent from `counts` count 0."""
     return 1 if _eval(expr, counts) else 0
 
 
@@ -451,15 +442,37 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
             raise _budget_exceeded(budget)
         return graph
 
-    if budget < 1:
-        raise _budget_exceeded(budget)
-    configs = [init]
-    ids = {init: 0}
-    parent = [-1]
+    graph = ConfigGraph(*_explore((init,), partial(successors, protocol), budget))
+    with _explored_lock:
+        if memo.held + len(graph.configs) <= EXPLORED_CAP:
+            memo.held += len(graph.configs)
+            memo.graphs[init] = graph
+    return graph
+
+
+def _explore(
+    roots: Iterable[Config],
+    successors_of: Callable[[Config], Iterable[Config]],
+    budget: int,
+) -> tuple[tuple[Config, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Breadth-first closure of the distinct `roots` under `successors_of`:
+    the roots take ids 0.. in order, then each configuration is numbered as
+    it is first reached, with each successor list sorted by configuration.
+    Returns (configs, succ, BFS parents, -1 at every root); BudgetExceeded as
+    soon as there are more than `budget` configurations, the roots included,
+    so the roots are listed only that far."""
+    configs = []
+    ids = {}
+    for root in roots:
+        if len(configs) >= budget:
+            raise _budget_exceeded(budget)
+        ids[root] = len(configs)
+        configs.append(root)
+    parent = [-1] * len(configs)
     succ = []
     for i, node in enumerate(configs):  # visits the configurations appended below
         out = []
-        for nxt in sorted(successors(protocol, node)):
+        for nxt in sorted(successors_of(node)):
             j = ids.get(nxt)
             if j is None:
                 j = len(configs)
@@ -470,39 +483,21 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
                 parent.append(i)
             out.append(j)
         succ.append(tuple(out))
-    graph = ConfigGraph(tuple(configs), tuple(succ), tuple(parent))
-    with _explored_lock:
-        if memo.held + len(configs) <= EXPLORED_CAP:
-            memo.held += len(configs)
-            memo.graphs[init] = graph
-    return graph
-
-
-def _numbered(configs: list[tuple], successors_of) -> ConfigGraph:
-    """Unrooted graph over `configs`, with each successor set given by
-    configuration and sorted into ids."""
-    ids = {c: i for i, c in enumerate(configs)}
-    succ = tuple(tuple(ids[c] for c in sorted(successors_of(node))) for node in configs)
-    return ConfigGraph(tuple(configs), succ, ())
+    return tuple(configs), tuple(succ), tuple(parent)
 
 
 def full_multiset_graph(protocol: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
     """One-interaction relation over all count vectors of population n."""
-    configs = list(_compositions(n, protocol.state_count))
-    if len(configs) > budget:
-        raise BudgetExceeded(f"{len(configs)} configurations exceed {budget}", budget)
-    return _numbered(configs, lambda c: successors(protocol, c))
+    configs, succ, _ = _explore(
+        _compositions(n, protocol.state_count), partial(successors, protocol), budget
+    )
+    return ConfigGraph(configs, succ, ())
 
 
 def full_vertex_graph(
     protocol: Protocol, graph, budget: int = DEFAULT_BUDGET
 ) -> ConfigGraph:
     """One-interaction relation over all per-vertex assignments of a graph."""
-    k = protocol.state_count
-    if k**graph.vertex_count > budget:
-        raise BudgetExceeded(
-            f"{k}^{graph.vertex_count} assignments exceed {budget}", budget
-        )
 
     def vertex_successors(assignment):
         succ = set()
@@ -515,8 +510,9 @@ def full_vertex_graph(
                     succ.add(tuple(nxt))
         return succ
 
-    configs = list(itertools.product(range(k), repeat=graph.vertex_count))
-    return _numbered(configs, vertex_successors)
+    roots = itertools.product(range(protocol.state_count), repeat=graph.vertex_count)
+    configs, succ, _ = _explore(roots, vertex_successors, budget)
+    return ConfigGraph(configs, succ, ())
 
 
 def bottom_sccs(graph: ConfigGraph) -> list[frozenset]:
@@ -817,16 +813,3 @@ def iter_search_pavlovian(
                     verdict = stably_computes(protocol, expr, sizes, budget)
                     if verdict.passed:
                         yield protocol, found
-
-
-def search_pavlovian(
-    state_count: int,
-    predicate,
-    sizes: Iterable[int],
-    mode: str = EXACT,
-    budget: int = DEFAULT_BUDGET,
-    alphabet: Sequence[str] | None = None,
-) -> list[tuple[Protocol, Witness]]:
-    return list(
-        iter_search_pavlovian(state_count, predicate, sizes, mode, budget, alphabet)
-    )

@@ -5,6 +5,7 @@ import dataclasses
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,6 @@ from popgames import (
     parse_predicate,
     predicate_symbols,
     reachable,
-    search_pavlovian,
     stable_leader,
     stably_computes,
     symmetrize,
@@ -38,7 +38,9 @@ from popgames import (
 from popgames import verify
 from popgames.pavcheck import EXACT, check_pavlovian, witness_reproduces
 from popgames.sim import InteractionGraph
-from popgames.verify import And, Comparison, Congruence, LinearForm, Not, Or
+from popgames.verify import (
+    And, Comparison, Congruence, LinearForm, Not, Or, iter_search_pavlovian,
+)
 
 import oracles
 
@@ -134,13 +136,6 @@ def test_predicate_symbols():
     assert predicate_symbols(expr) == {"0", "1", "2"}
 
 
-def test_eval_alphabet_validation():
-    expr = parse_predicate("n_0 >= 1")
-    assert eval_predicate(expr, {"0": 1}, alphabet=("0", "1")) == 1
-    with pytest.raises(ProtocolError):
-        eval_predicate(expr, {"0": 1}, alphabet=("1",))
-
-
 # ---------------------------------------------------------------------------
 # reachability
 
@@ -212,8 +207,9 @@ def test_full_vertex_graph_pd_ring():
     assert len(graph.nodes) == 8
     # C is state 0: mutual cooperation is the one absorbing component
     assert bottom_sccs(graph) == [frozenset({(0, 0, 0)})]
+    # 2^40 assignments: listing them all before the budget check would never finish
     with pytest.raises(BudgetExceeded):
-        full_vertex_graph(pd, InteractionGraph.ring(20), budget=100)
+        full_vertex_graph(pd, InteractionGraph.ring(40), budget=100)
 
 
 def test_path_to_refuses_configurations_outside_the_graph():
@@ -226,9 +222,9 @@ def test_path_to_refuses_configurations_outside_the_graph():
 
 
 @st.composite
-def protocols_and_starts(draw):
+def random_protocols(draw):
     """A 2-4-state protocol whose pairs are identities, swaps or random
-    (often nondeterministic) successor sets, and an agent tuple of 2-6."""
+    (often nondeterministic) successor sets."""
     k = draw(st.integers(2, 4))
     state = st.integers(0, k - 1)
     rules = {}
@@ -241,10 +237,16 @@ def protocols_and_starts(draw):
                 rules[(q1, q2)] = draw(
                     st.sets(st.tuples(state, state), min_size=1, max_size=3)
                 )
-    agents = tuple(draw(st.lists(state, min_size=2, max_size=6)))
-    protocol = Protocol(name="random", states=tuple(f"q{i}" for i in range(k)),
-                        rules=complete(rules, k))
-    return protocol, agents
+    return Protocol(name="random", states=tuple(f"q{i}" for i in range(k)),
+                    rules=complete(rules, k))
+
+
+@st.composite
+def protocols_and_starts(draw):
+    """A random protocol and an agent tuple of 2-6."""
+    protocol = draw(random_protocols())
+    state = st.integers(0, protocol.state_count - 1)
+    return protocol, tuple(draw(st.lists(state, min_size=2, max_size=6)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,6 +282,37 @@ def test_reachable_matches_agent_semantics(case):
     assert len(reachable(protocol, init, budget=len(projected)).nodes) == len(projected)
     with pytest.raises(BudgetExceeded):
         reachable(protocol, init, budget=len(projected) - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_protocols(), st.integers(2, 5))
+def test_full_multiset_bottoms_are_those_of_every_start(protocol, n):
+    full = full_multiset_graph(protocol, n)
+    assert full.parent == ()
+    from_starts = {
+        scc for start in full.configs for scc in bottom_sccs(reachable(protocol, start))
+    }
+    assert set(bottom_sccs(full)) == from_starts
+
+
+def test_full_graph_budget_boundary():
+    majority, pd, ring = builtin("majority"), builtin("pavlov-pd"), InteractionGraph.ring(4)
+    for build in (partial(full_multiset_graph, majority, 4),
+                  partial(full_vertex_graph, pd, ring)):
+        size = len(build().configs)
+        assert build(budget=size).configs == build().configs
+        for budget in (size - 1, 0):
+            with pytest.raises(BudgetExceeded) as err:
+                build(budget=budget)
+            assert err.value.budget == budget
+
+
+def test_full_graphs_of_one_state_are_unrooted():
+    one = make_protocol("one", ("a",), [])
+    for graph in (full_multiset_graph(one, 3),
+                  full_vertex_graph(one, InteractionGraph.ring(3))):
+        assert len(graph.configs) == 1
+        assert graph.parent == () and graph.root is None
 
 
 def test_bottom_scc_weak_xor_pair():
@@ -667,8 +700,8 @@ def test_candidate_count():
 
 
 def test_search_two_states_finds_or():
-    findings = search_pavlovian(
-        2, "n_1 >= 1", (2, 3), alphabet=("0", "1"))
+    findings = list(iter_search_pavlovian(
+        2, "n_1 >= 1", (2, 3), alphabet=("0", "1")))
     assert findings
     or_rules = builtin("or").rules
     structures = []
@@ -682,16 +715,17 @@ def test_search_two_states_finds_or():
 
 
 def test_search_one_state_finds_nothing_nonconstant():
-    assert search_pavlovian(1, "n_1 >= 1", (2, 3), alphabet=("0", "1")) == []
+    assert list(iter_search_pavlovian(
+        1, "n_1 >= 1", (2, 3), alphabet=("0", "1"))) == []
     # default alphabet comes from the predicate; parity varies with size
-    assert search_pavlovian(1, "n_1 mod 2 = 1", (2, 3)) == []
+    assert list(iter_search_pavlovian(1, "n_1 mod 2 = 1", (2, 3))) == []
 
 
 def test_search_two_states_parity_recorded():
     # Whether any two-state derived protocol computes odd parity on these
     # sizes is an empirical question; we record the answer instead of
     # pinning it.  Every finding that does come back must check out.
-    findings = search_pavlovian(2, "n_1 mod 2 = 1", range(2, 7))
+    findings = list(iter_search_pavlovian(2, "n_1 mod 2 = 1", range(2, 7)))
     print(f"recorded: {len(findings)} two-state parity finding(s) on sizes 2..6")
     for protocol, witness in findings:
         assert witness_reproduces(witness, protocol, EXACT)
@@ -700,5 +734,5 @@ def test_search_two_states_parity_recorded():
 
 def test_search_budget():
     with pytest.raises(BudgetExceeded) as err:
-        search_pavlovian(3, "n_1 >= 1", (2,), budget=100)
+        list(iter_search_pavlovian(3, "n_1 >= 1", (2,), budget=100))
     assert err.value.budget == 100
