@@ -16,8 +16,11 @@ Three workloads, each timed best of `--repeats` after its inputs are built:
 each timed verify repeat the benchmark explores another protocol (or, from
 one start), which empties that memo: every repeat explores all 21,489
 configurations again.  Each answer is checked before its time counts: the
-verdict must pass, the Pavlovian count must be 4,096, and the search JSON
-must have the sha256 below.
+verdict must pass, and the pavcheck records and the search JSON must have
+the sha256 digests below.  The pavcheck records are one JSON line per
+dynamics, the witness or the refusal with its certificate, written as
+`tests/test_golden_exact.py` writes them; the digest is that file's
+"check_pavlovian 3 states all".
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import time
 
 from popgames import (
@@ -44,7 +48,7 @@ from popgames.pavcheck import EXACT
 
 VERIFY_SIZES = range(2, 11)
 PREDICATE = "n_0 >= n_1"
-PAVLOVIAN_3STATE = 4_096
+PAVCHECK_3STATE_SHA256 = "0522e907e878c580df27cd46ecbe9d5332e6bd6ca4a8d0589aa7aa2be52ad8c3"
 SEARCH_3STATE = ["search", "--states", "3", "--predicate", "n_1 >= 1",
                  "--sizes", "2..4", "--json"]
 SEARCH_3STATE_SHA256 = "7b9fda9015b7e49fa8799737d60279b136a8becca6455c1c7c2092967eed81eb"
@@ -101,13 +105,26 @@ def three_state_dynamics() -> list[Protocol]:
     return protocols
 
 
+def pavcheck_record(result) -> str:
+    if hasattr(result, "matrix"):
+        return json.dumps({"matrix": result.matrix, "threshold": result.threshold})
+    cert = result.certificate
+    return json.dumps({
+        "reason": result.reason,
+        "cycle": None if cert is None else cert.cycle,
+        "strict": None if cert is None else cert.strict_steps,
+    })
+
+
 def pavcheck_workload(repeats: int) -> tuple[int, float]:
     protocols = three_state_dynamics()
     seconds, results = best_of(
         repeats, lambda: [check_pavlovian(p, EXACT) for p in protocols])
-    witnesses = sum(hasattr(r, "matrix") for r in results)
-    if witnesses != PAVLOVIAN_3STATE:
-        raise RuntimeError(f"{witnesses} Pavlovian dynamics, expected {PAVLOVIAN_3STATE}")
+    records = "\n".join(pavcheck_record(r) for r in results)
+    digest = hashlib.sha256(records.encode("utf-8")).hexdigest()
+    if digest != PAVCHECK_3STATE_SHA256:
+        raise RuntimeError(
+            f"pavcheck records have sha256 {digest}, expected {PAVCHECK_3STATE_SHA256}")
     return len(protocols), seconds
 
 

@@ -111,6 +111,16 @@ class Protocol:
                 table.append((q1, q2, need, keeps, tuple(sorted(deltas))))
         return tuple(table)
 
+    @cached_property
+    def _mirror_missing(self) -> tuple[int, int, int, int] | None:
+        """`symmetry_violation`'s answer, computed once per protocol."""
+        for (q1, q2), succs in self.rules.items():
+            mirrored = self.rules[(q2, q1)]
+            for a, b in succs:
+                if (b, a) not in mirrored:
+                    return (q1, q2, a, b)
+        return None
+
 
 def make_protocol(
     name: str,
@@ -181,12 +191,7 @@ def is_symmetric(protocol: Protocol) -> bool:
 
 def symmetry_violation(protocol: Protocol) -> tuple[int, int, int, int] | None:
     """Return a tuple (q1, q2, q1', q2') whose mirror is missing, or None."""
-    for (q1, q2), succs in protocol.rules.items():
-        mirrored = protocol.rules[(q2, q1)]
-        for a, b in succs:
-            if (b, a) not in mirrored:
-                return (q1, q2, a, b)
-    return None
+    return protocol._mirror_missing
 
 
 def initial_config(protocol: Protocol, input_multiset: Mapping[str, int]) -> Config:

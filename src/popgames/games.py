@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import Pair, Protocol, ProtocolError, complete
+from .core import Pair, Protocol, ProtocolError
 
 ALL_TIES = "all-ties"
 LOWEST_INDEX = "lowest-index"
@@ -83,29 +84,44 @@ def best_response_excluding(game: Game, y: str, excluded: str) -> set[str]:
     }
 
 
-def is_nash(game: Game, x: str, y: str) -> bool:
-    """True iff x and y are mutual best responses."""
-    xi, yi = game.index(x), game.index(y)
-    return xi in _best_response_idx(game, yi) and yi in _best_response_idx(game, xi)
-
-
 def is_win(game: Game, q1: str, q2: str) -> bool:
     """True iff playing q1 against q2 meets the threshold (the agent stays)."""
     return game.payoff[game.index(q1)][game.index(q2)] >= game.threshold
 
 
 def _agent_moves(game: Game, mode: str) -> dict[Pair, list[int]]:
-    """Per-agent successor choices for the row agent of each ordered pair."""
+    """Per-agent successor choices for the row agent of each ordered pair.
+
+    Each column's values are compared once for its top set (the argmax), and
+    once more for its runner-up set (the argmax of the rest) when the top
+    set's only member loses.  A losing row moves into the top set without
+    itself, or into the runner-up set when it is the top set.
+    """
+    k = game.size
+    # Times their common denominator, the payoffs and the threshold are
+    # integers in the same order, which compare far faster than Fractions.
+    threshold, payoff = game.threshold, game.payoff
+    scale = lcm(threshold.denominator, *(v.denominator for row in payoff for v in row))
+    cut = threshold.numerator * (scale // threshold.denominator)
     moves: dict[Pair, list[int]] = {}
-    for q1 in range(game.size):
-        for q2 in range(game.size):
-            if game.payoff[q1][q2] >= game.threshold:
+    for q2 in range(k):
+        column = [row[q2].numerator * (scale // row[q2].denominator) for row in payoff]
+        best = max(column)
+        top = [x for x in range(k) if column[x] == best]
+        for q1 in range(k):
+            if column[q1] >= cut:
                 choice = [q1]
+            elif top != [q1]:
+                choice = [x for x in top if x != q1]
+            elif k == 1:
+                raise ProtocolError(
+                    f"no strategy left to shift to in {game.name!r}: "
+                    f"cannot exclude {game.strategies[q1]!r} from a 1-strategy game"
+                )
             else:
-                choice = sorted(_best_response_idx(game, q2, excluded=q1))
-            if mode == LOWEST_INDEX:
-                choice = [choice[0]]
-            moves[(q1, q2)] = choice
+                second = max(column[x] for x in range(k) if x != q1)
+                choice = [x for x in range(k) if x != q1 and column[x] == second]
+            moves[(q1, q2)] = choice[:1] if mode == LOWEST_INDEX else choice
     return moves
 
 
@@ -122,17 +138,17 @@ def derive_protocol(game: Game, mode: str = ALL_TIES) -> Protocol:
     if mode not in (ALL_TIES, LOWEST_INDEX):
         raise ProtocolError(f"unknown tie mode {mode!r}")
     moves = _agent_moves(game, mode)
-    raw: dict[Pair, set[Pair]] = {}
-    for q1 in range(game.size):
-        for q2 in range(game.size):
-            raw[(q1, q2)] = {
-                (a, b) for a in moves[(q1, q2)] for b in moves[(q2, q1)]
-            }
-    return Protocol(
-        name=f"{game.name}-protocol",
-        states=game.strategies,
-        rules=complete(raw, game.size),
-    )
+    # each frozenset is filled in the order of the set of its pairs, as
+    # `complete` fills it, so a derived successor set iterates the same way
+    # as one completed from those pairs
+    rules = {
+        (q1, q2): frozenset(
+            list({(a, b) for a in moves[(q1, q2)] for b in moves[(q2, q1)]})
+        )
+        for q1 in range(game.size)
+        for q2 in range(game.size)
+    }
+    return Protocol(name=f"{game.name}-protocol", states=game.strategies, rules=rules)
 
 
 @dataclass(frozen=True)

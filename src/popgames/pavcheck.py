@@ -13,8 +13,8 @@ strict one, which doubles as a human-readable impossibility certificate.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .core import (
     Protocol,
@@ -30,6 +30,7 @@ SUBSET = "subset"
 
 Var = Hashable
 Edge = tuple[Var, Var]
+IdEdges = frozenset[tuple[int, int]]
 
 # Variable keys: ("M", i, j) for matrix entries, "delta" for the threshold.
 DELTA: Var = "delta"
@@ -49,29 +50,68 @@ def _var_key(var: Var) -> tuple[int, str, int, int]:
     return (2, repr(var), -1, -1)
 
 
-@dataclass
+@lru_cache(maxsize=8)
+def _ranking(variables: tuple[Var, ...]) -> tuple[tuple[Var, ...], dict[Var, int]]:
+    """The variables sorted by `_var_key`, and each one's rank, which is its
+    id in a system.  Cached: every system of one state count declares the
+    same variables.  Read-only."""
+    ranked = tuple(sorted(variables, key=_var_key))
+    return ranked, {v: r for r, v in enumerate(ranked)}
+
+
+@lru_cache(maxsize=8)
+def _matrix_variables(n: int) -> tuple[tuple[Var, ...], tuple[Var, ...]]:
+    """An n-state system's variables as declared (the matrix row by row, then
+    the threshold) and in rank order: DELTA has id 0, M[i][j] has 1 + i·n + j."""
+    entries = tuple(mat(i, j) for i in range(n) for j in range(n))
+    return entries + (DELTA,), (DELTA,) + entries
+
+
 class ConstraintSystem:
-    """Order constraints over matrix-entry variables and the threshold."""
+    """Order comparisons between declared variables: (u, v) in `nonstrict`
+    means u <= v, in `strict` u < v.
 
-    variables: tuple[Var, ...]
-    nonstrict: set[Edge] = field(default_factory=set)  # (u, v) meaning u <= v
-    strict: set[Edge] = field(default_factory=set)  # (u, v) meaning u < v
-    _varset: frozenset[Var] = field(init=False, repr=False, compare=False)
+    Each comparison is stored once, as a pair of variable ids in `le` or
+    `lt`.  A variable's id is its rank in `_var_key` order, `ranked[id]`.
+    `nonstrict` and `strict` are the same comparisons as pairs of variables,
+    built on first access.  A comparison naming an undeclared variable is
+    refused.
+    """
 
-    def __post_init__(self) -> None:
-        self._varset = frozenset(self.variables)
+    def __init__(
+        self,
+        variables: Iterable[Var],
+        nonstrict: Iterable[Edge] = (),
+        strict: Iterable[Edge] = (),
+    ) -> None:
+        self.variables = tuple(variables)
+        self.ranked, order = _ranking(self.variables)
+        try:
+            self.le: IdEdges = frozenset((order[u], order[v]) for u, v in nonstrict)
+            self.lt: IdEdges = frozenset((order[u], order[v]) for u, v in strict)
+        except KeyError as missing:
+            raise ProtocolError(
+                f"constraint references undeclared variable: {missing.args[0]!r}"
+            ) from None
 
-    def add_le(self, u: Var, v: Var) -> None:
-        self._check(u, v)
-        self.nonstrict.add((u, v))
+    @classmethod
+    def _numbered(
+        cls, variables: tuple[Var, ...], ranked: tuple[Var, ...], le: IdEdges, lt: IdEdges
+    ) -> ConstraintSystem:
+        """A system from comparisons that are already id pairs over `ranked`."""
+        system = cls.__new__(cls)
+        system.variables, system.ranked, system.le, system.lt = variables, ranked, le, lt
+        return system
 
-    def add_lt(self, u: Var, v: Var) -> None:
-        self._check(u, v)
-        self.strict.add((u, v))
+    @cached_property
+    def nonstrict(self) -> frozenset[Edge]:
+        ranked = self.ranked
+        return frozenset((ranked[u], ranked[v]) for u, v in self.le)
 
-    def _check(self, u: Var, v: Var) -> None:
-        if u not in self._varset or v not in self._varset:
-            raise ProtocolError(f"constraint references undeclared variable: {u} / {v}")
+    @cached_property
+    def strict(self) -> frozenset[Edge]:
+        ranked = self.ranked
+        return frozenset((ranked[u], ranked[v]) for u, v in self.lt)
 
     def satisfied_by(self, assignment: dict[Var, object]) -> bool:
         """Check a concrete assignment against every recorded comparison."""
@@ -129,11 +169,6 @@ class NotPavlovian:
     certificate: UnsatCertificate | None = None
 
 
-def agent_successors(protocol: Protocol, q1: int, q2: int) -> frozenset[int]:
-    """The first agent's successor-state set on the ordered pair (q1, q2)."""
-    return frozenset(a for a, _ in protocol.rules[(q1, q2)])
-
-
 def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSystem:
     """Translate a symmetric protocol into order constraints on a payoff matrix.
 
@@ -147,7 +182,9 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
         move on the same pair; an inconsistent threshold pair is emitted so
         the refusal flows through the ordinary certificate machinery.
     Symmetry makes the second agent's conditions the mirrored pairs' first-agent
-    conditions, so one pass over ordered pairs covers both.
+    conditions, so one pass over ordered pairs covers both.  Every comparison
+    for (q1, q2) involves only column q2 and the threshold, so the system is
+    the union of its columns' (`_column_constraints`).
     """
     if mode not in (EXACT, SUBSET):
         raise ProtocolError(f"unknown constraint mode {mode!r}")
@@ -155,42 +192,55 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
     if bad is not None:
         raise ProtocolError(f"protocol is not symmetric, mirror of {bad} missing")
     n = protocol.state_count
-    entry = [[mat(i, j) for j in range(n)] for i in range(n)]
-    system = ConstraintSystem(variables=tuple(v for row in entry for v in row) + (DELTA,))
-    # every variable below is declared above, so the edges skip `_check`
-    le, lt = system.nonstrict.add, system.strict.add
-    for q1 in range(n):
-        for q2 in range(n):
-            m = entry[q1][q2]
-            s_set = agent_successors(protocol, q1, q2)
-            if s_set == {q1}:
-                le((DELTA, m))
-                continue
-            if q1 in s_set:
-                le((DELTA, m))
-                lt((m, DELTA))
-                continue
-            lt((m, DELTA))
-            for s in s_set:
-                for z in range(n):
-                    if z == q1 or z == s:
-                        continue
-                    le((entry[z][q2], entry[s][q2]))
-            if mode == EXACT:
-                for z in range(n):
-                    if z == q1 or z in s_set:
-                        continue
-                    for s in s_set:
-                        lt((entry[z][q2], entry[s][q2]))
-    return system
+    firsts = {
+        pair: frozenset([a for a, _ in succs]) for pair, succs in protocol.rules.items()
+    }
+    columns = [
+        _column_constraints(n, q2, tuple([firsts[(q1, q2)] for q1 in range(n)]), mode)
+        for q2 in range(n)
+    ]
+    variables, ranked = _matrix_variables(n)
+    return ConstraintSystem._numbered(
+        variables,
+        ranked,
+        frozenset().union(*[le for le, _ in columns]),
+        frozenset().union(*[lt for _, lt in columns]),
+    )
 
 
-@lru_cache(maxsize=8)
-def _ranking(variables: tuple[Var, ...]) -> tuple[tuple[Var, ...], dict[Var, int]]:
-    """The variables sorted by `_var_key`, and each one's rank.  Cached: every
-    system of one state count declares the same variables.  Read-only."""
-    ranked = tuple(sorted(variables, key=_var_key))
-    return ranked, {v: r for r, v in enumerate(ranked)}
+@lru_cache(maxsize=1024)
+def _column_constraints(
+    n: int, q2: int, firsts: tuple[frozenset[int], ...], mode: str
+) -> tuple[IdEdges, IdEdges]:
+    """The comparisons `build_constraints` emits for the pairs (q1, q2) of an
+    n-state protocol whose first agent goes to `firsts[q1]`, as the id pairs
+    (le, lt) of a matrix system: the threshold is id 0, M[q1][q2] is id
+    1 + q1·n + q2."""
+    entry = [1 + z * n + q2 for z in range(n)]
+    le: set[tuple[int, int]] = set()
+    lt: set[tuple[int, int]] = set()
+    for q1, s_set in enumerate(firsts):
+        m = entry[q1]
+        if s_set == {q1}:
+            le.add((0, m))
+            continue
+        if q1 in s_set:
+            le.add((0, m))
+            lt.add((m, 0))
+            continue
+        lt.add((m, 0))
+        for s in s_set:
+            for z in range(n):
+                if z == q1 or z == s:
+                    continue
+                le.add((entry[z], entry[s]))
+        if mode == EXACT:
+            for z in range(n):
+                if z == q1 or z in s_set:
+                    continue
+                for s in s_set:
+                    lt.add((entry[z], entry[s]))
+    return frozenset(le), frozenset(lt)
 
 
 def solve_order_constraints(
@@ -203,17 +253,18 @@ def solve_order_constraints(
     to equal values; a strict edge inside one is the impossibility.  Otherwise
     components are ranked along longest paths in the condensation, strict
     edges forcing a rank increase, which yields values bounded by the number
-    of variables.
+    of variables.  Ids follow `_var_key` rank, so arcs are taken in that
+    order and the certificate closes the least strict edge in it.
     """
-    # variables are numbered by `_var_key` rank, so sorted id pairs are
-    # edges in rank order
-    ranked, order = _ranking(system.variables)
-    nonstrict = [(order[u], order[v]) for u, v in system.nonstrict]
-    strict = sorted((order[u], order[v]) for u, v in system.strict)
-
+    ranked, le, lt = system.ranked, system.le, system.lt
+    # an arc both <= and < is listed twice, which changes neither search
     adjacency: list[list[int]] = [[] for _ in ranked]
-    for u, v in sorted({*nonstrict, *strict}):
+    for u, v in le:
         adjacency[u].append(v)
+    for u, v in lt:
+        adjacency[u].append(v)
+    for arcs in adjacency:
+        arcs.sort()
 
     components = strongly_connected_components(adjacency)
     comp_of = [0] * len(ranked)
@@ -221,15 +272,16 @@ def solve_order_constraints(
         for v in comp:
             comp_of[v] = ci
 
-    for u, v in strict:
-        if comp_of[u] == comp_of[v]:
-            return _certificate(ranked, set(strict), adjacency, comp_of, u, v)
+    inside = [edge for edge in lt if comp_of[edge[0]] == comp_of[edge[1]]]
+    if inside:
+        u, v = min(inside)
+        return _certificate(ranked, lt, adjacency, comp_of, u, v)
 
     # Condensation DAG with a rank step of 1 on strict edges.  Components
     # come out of Tarjan's search after every component they reach, so
     # taking them last-found first visits each one after its predecessors.
     out: list[set[tuple[int, int]]] = [set() for _ in components]
-    for step, pool in ((0, nonstrict), (1, strict)):
+    for step, pool in ((0, le), (1, lt)):
         for u, v in pool:
             cu, cv = comp_of[u], comp_of[v]
             if cu != cv:
@@ -240,12 +292,13 @@ def solve_order_constraints(
             if rank[c] + step > rank[d]:
                 rank[d] = rank[c] + step
 
-    return {v: rank[comp_of[order[v]]] for v in system.variables}
+    order = _ranking(system.variables)[1]
+    return {var: rank[comp_of[order[var]]] for var in system.variables}
 
 
 def _certificate(
     ranked: tuple[Var, ...],
-    strict: set[tuple[int, int]],
+    strict: IdEdges,
     adjacency: list[list[int]],
     comp_of: list[int],
     u: int,
@@ -286,8 +339,11 @@ def default_mode(protocol: Protocol) -> str:
 
 def _is_cross_product(protocol: Protocol) -> tuple[int, int, int, int] | None:
     """A joint successor set must factor into per-agent choices to be realizable
-    in exact mode.  Returns a missing combination, or None when all factor."""
+    in exact mode.  Returns a missing combination, or None when all factor;
+    a single successor pair always does."""
     for (q1, q2), succs in protocol.rules.items():
+        if len(succs) == 1:
+            continue
         firsts = {a for a, _ in succs}
         seconds = {b for _, b in succs}
         for a in firsts:
@@ -334,6 +390,8 @@ def check_pavlovian(
 
 
 def _check(protocol: Protocol, mode: str) -> Witness | NotPavlovian:
+    # a protocol keeps its symmetry verdict, which `build_constraints` reads
+    # again for its own callers
     bad = symmetry_violation(protocol)
     if bad is not None:
         return NotPavlovian(reason="not symmetric", violating_tuple=bad)

@@ -14,7 +14,10 @@ Contents:
     package's anonymous count-vector semantics;
   * a plain-integer splitmix64 reference stream, and a per-step simulator
     that draws from it in the documented order, with the window stop rule
-    also as a check on a recorded trace.
+    also as a check on a recorded trace;
+  * threshold win-stay/lose-shift derivation pair by pair, and the order
+    comparisons a symmetric protocol places on a game, as plain variable
+    pairs.
 """
 
 from __future__ import annotations
@@ -343,3 +346,74 @@ def reference_run(
         "final_states": None if edges is None else tuple(vertices),
         "trace": tuple(trace) if record_trace else None,
     }
+
+
+# ---------------------------------------------------------------------------
+# Games, read pair by pair.  payoff[x][y] is the row player's score for x
+# against y.  An agent at q1 meeting q2 stays when payoff[q1][q2] reaches the
+# threshold, and otherwise moves to the argmax of column q2 over the
+# strategies other than q1.  Comparison variables are ("M", i, j) for
+# payoff[i][j] and "delta" for the threshold.
+# ---------------------------------------------------------------------------
+
+
+def wsls_choices(payoff, threshold, q1: int, q2: int) -> list[int]:
+    """The row agent's successor states on (q1, q2), ascending; empty when it
+    loses and has no other strategy to move to."""
+    if payoff[q1][q2] >= threshold:
+        return [q1]
+    others = [x for x in range(len(payoff)) if x != q1]
+    if not others:
+        return []
+    best = max(payoff[x][q2] for x in others)
+    return [x for x in others if payoff[x][q2] == best]
+
+
+def wsls_rules(payoff, threshold, lowest_index: bool) -> RuleTable | None:
+    """Every ordered pair's joint successor set, the product of the two
+    agents' choices (each cut to its lowest index with `lowest_index`), or
+    None when some losing agent has nowhere to go."""
+    k = len(payoff)
+    choices = {}
+    for q1 in range(k):
+        for q2 in range(k):
+            choice = wsls_choices(payoff, threshold, q1, q2)
+            if not choice:
+                return None
+            choices[(q1, q2)] = choice[:1] if lowest_index else choice
+    return {
+        (q1, q2): frozenset(
+            (a, b) for a in choices[(q1, q2)] for b in choices[(q2, q1)]
+        )
+        for q1 in range(k)
+        for q2 in range(k)
+    }
+
+
+def comparison_system(rules: RuleTable, k: int, exact: bool) -> tuple[set, set]:
+    """The (nonstrict, strict) comparisons a symmetric protocol places on a
+    k-strategy game, as (u, v) variable pairs for u <= v and u < v.  For each
+    ordered pair (q1, q2) with first-agent successor set S:
+      - S = {q1}: M[q1][q2] >= delta;
+      - q1 in S with other states: M[q1][q2] >= delta and M[q1][q2] < delta;
+      - q1 not in S: M[q1][q2] < delta, M[z][q2] <= M[s][q2] for each s in S
+        and z not in {q1, s}, and in exact mode M[z][q2] < M[s][q2] for each
+        s in S and z outside S and != q1."""
+    nonstrict, strict = set(), set()
+    for q1 in range(k):
+        for q2 in range(k):
+            m = ("M", q1, q2)
+            firsts = {a for a, _ in rules[(q1, q2)]}
+            if q1 in firsts:
+                nonstrict.add(("delta", m))
+                if len(firsts) > 1:
+                    strict.add((m, "delta"))
+                continue
+            strict.add((m, "delta"))
+            for s in firsts:
+                for z in range(k):
+                    if z not in (q1, s):
+                        nonstrict.add((("M", z, q2), ("M", s, q2)))
+                    if exact and z != q1 and z not in firsts:
+                        strict.add((("M", z, q2), ("M", s, q2)))
+    return nonstrict, strict

@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from popgames import (
     ALL_TIES,
@@ -14,7 +18,6 @@ from popgames import (
     check_pavlovian,
     derive_protocol,
     is_deterministic,
-    is_nash,
     is_symmetric,
     is_win,
     make_game,
@@ -63,14 +66,6 @@ def test_best_response_excluding_never_contains_excluded():
                 assert found <= set(strats)
 
 
-def test_is_nash():
-    pd = builtin("pd")
-    assert is_nash(pd, "D", "D")
-    assert not is_nash(pd, "C", "C")
-    flat = constant_game()
-    assert all(is_nash(flat, x, y) for x in "abc" for y in "abc")
-
-
 def test_is_win():
     pd = builtin("pd")
     assert is_win(pd, "C", "C")
@@ -79,6 +74,42 @@ def test_is_win():
     assert not is_win(pd, "C", "D")
     low = make_game("low", ["a", "b"], [[0, 1], [2, 3]], 0)
     assert all(is_win(low, x, y) for x in "ab" for y in "ab")
+
+
+# few distinct values, denominators that differ: columns full of ties
+PAYOFF_POOL = tuple(Fraction(x) for x in ("-1/3", "0", "1/2", "1", "4/3", "2"))
+
+
+@st.composite
+def tie_heavy_games(draw):
+    """Games of 1 to 4 strategies whose entries and threshold come from at
+    most three values of `PAYOFF_POOL`."""
+    k = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sampled_from(PAYOFF_POOL), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(pool)
+    payoff = [[draw(values) for _ in range(k)] for _ in range(k)]
+    return make_game("drawn", [f"s{i}" for i in range(k)], payoff, draw(values))
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_games(), st.sampled_from([ALL_TIES, LOWEST_INDEX]))
+def test_derive_protocol_matches_per_pair_definition(game, mode):
+    expected = oracles.wsls_rules(game.payoff, game.threshold, mode == LOWEST_INDEX)
+    if expected is None:
+        with pytest.raises(ProtocolError, match="1-strategy game"):
+            derive_protocol(game, mode)
+    else:
+        assert derive_protocol(game, mode).rules == expected
+
+
+def test_losing_in_a_one_strategy_game_raises():
+    solo = make_game("solo", ["a"], [[0]], 1)
+    for mode in (ALL_TIES, LOWEST_INDEX):
+        with pytest.raises(ProtocolError, match="cannot exclude 'a' from a 1-strategy game"):
+            derive_protocol(solo, mode)
+    assert derive_protocol(make_game("solo", ["a"], [[1]], 1)).rules == {
+        (0, 0): frozenset({(0, 0)})
+    }
 
 
 def test_derive_pd_rules():

@@ -4,17 +4,30 @@ The digests in `golden_exact.json` were recorded before configurations and
 comparison variables were numbered by integer ids, and the answers must not
 move with any later change to the exploration or SCC engine: the `search`
 JSON, the `verify` JSON with its counterexample paths, and every witness and
-certificate `check_pavlovian` gives on a sample of 3-state dynamics.
+certificate `check_pavlovian` gives on 3-state dynamics.  The records of
+all 19,683 3-state dynamics and the subset-mode records of tie-keeping
+derivations were pinned before `build_constraints` emitted numbered
+comparison pairs column by column.
 """
 
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from popgames import Protocol, builtin, check_pavlovian, cli, print_protocol
+from popgames import (
+    ALL_TIES,
+    Protocol,
+    builtin,
+    check_pavlovian,
+    cli,
+    derive_protocol,
+    make_game,
+    print_protocol,
+)
 from popgames.pavcheck import EXACT
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_exact.json").read_text())
@@ -45,26 +58,47 @@ def symmetric_dynamics(k: int):
             yield rules
 
 
+def record(result) -> str:
+    """One JSON line: the witness, or the refusal with its certificate cycle
+    and strict steps."""
+    if hasattr(result, "matrix"):
+        return json.dumps({"matrix": result.matrix, "threshold": result.threshold})
+    cert = result.certificate
+    return json.dumps({
+        "reason": result.reason,
+        "cycle": None if cert is None else cert.cycle,
+        "strict": None if cert is None else cert.strict_steps,
+    })
+
+
 def pavlovian_records(k: int, stride: int) -> str:
-    """One JSON line per `stride`-th dynamics: the witness, or the refusal
-    with its certificate cycle and strict steps."""
+    """The exact-mode record of every `stride`-th k-state dynamics."""
     states = tuple(f"s{i}" for i in range(k))
-    lines = []
-    for i, rules in enumerate(symmetric_dynamics(k)):
-        if i % stride:
-            continue
-        result = check_pavlovian(Protocol(f"dyn-{i}", states, rules), EXACT)
-        if hasattr(result, "matrix"):
-            record = {"matrix": result.matrix, "threshold": result.threshold}
-        else:
-            cert = result.certificate
-            record = {
-                "reason": result.reason,
-                "cycle": None if cert is None else cert.cycle,
-                "strict": None if cert is None else cert.strict_steps,
-            }
-        lines.append(json.dumps(record))
-    return "\n".join(lines)
+    return "\n".join(
+        record(check_pavlovian(Protocol(f"dyn-{i}", states, rules), EXACT))
+        for i, rules in enumerate(symmetric_dynamics(k))
+        if i % stride == 0
+    )
+
+
+def tie_games():
+    """Every 2-state game with entries and threshold in {0, 1, 2}, in
+    row-major then threshold order, then 500 3-state games with entries
+    and threshold drawn from {0, 1, 2} by `random.Random(2009)`."""
+    for *entries, threshold in itertools.product(range(3), repeat=5):
+        yield make_game("g2", "ab", [entries[:2], entries[2:]], threshold)
+    rng = random.Random(2009)
+    for _ in range(500):
+        entries = [rng.randrange(3) for _ in range(10)]
+        yield make_game("g3", "abc", [entries[0:3], entries[3:6], entries[6:9]], entries[9])
+
+
+def tie_records() -> str:
+    """The default-mode record of each tie game's `ALL_TIES` derivation:
+    subset mode wherever a tie leaves a nondeterministic rule."""
+    return "\n".join(
+        record(check_pavlovian(derive_protocol(g, ALL_TIES))) for g in tie_games()
+    )
 
 
 def test_search_two_states_json(capsys):
@@ -87,3 +121,11 @@ def test_verify_majority_json(tmp_path, capsys, predicate):
 
 def test_check_pavlovian_every_7th_three_state_dynamics():
     assert sha256(pavlovian_records(3, 7)) == GOLDEN["check_pavlovian 3 states every 7th"]
+
+
+def test_check_pavlovian_every_three_state_dynamics():
+    assert sha256(pavlovian_records(3, 1)) == GOLDEN["check_pavlovian 3 states all"]
+
+
+def test_check_pavlovian_tie_keeping_derivations():
+    assert sha256(tie_records()) == GOLDEN["check_pavlovian default mode ALL_TIES games"]

@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from popgames import (
     ALL_TIES,
     EXACT,
     SUBSET,
     ConstraintSystem,
     NotPavlovian,
+    Protocol,
     ProtocolError,
     UnsatCertificate,
     Witness,
@@ -79,15 +83,16 @@ def test_build_constraints_rejects_unknown_mode():
 
 
 def test_constraint_system_rejects_undeclared_vars():
-    system = ConstraintSystem(variables=("a", "b"))
-    with pytest.raises(ProtocolError):
-        system.add_le("a", "zz")
+    with pytest.raises(ProtocolError, match="'zz'"):
+        ConstraintSystem(variables=("a", "b"), nonstrict={("a", "zz")})
+    with pytest.raises(ProtocolError, match="'zz'"):
+        ConstraintSystem(variables=("a", "b"), strict={("zz", "b")})
 
 
 def test_solve_strict_two_cycle():
-    system = ConstraintSystem(variables=("a", "b"))
-    system.add_lt("a", "b")
-    system.add_le("b", "a")
+    system = ConstraintSystem(
+        variables=("a", "b"), nonstrict={("b", "a")}, strict={("a", "b")}
+    )
     result = solve_order_constraints(system)
     assert isinstance(result, UnsatCertificate)
     assert result.cycle[0] == result.cycle[-1]
@@ -96,8 +101,7 @@ def test_solve_strict_two_cycle():
 
 
 def test_solve_single_nonstrict_edge():
-    system = ConstraintSystem(variables=("a", "b"))
-    system.add_le("a", "b")
+    system = ConstraintSystem(variables=("a", "b"), nonstrict={("a", "b")})
     assignment = solve_order_constraints(system)
     assert isinstance(assignment, dict)
     assert system.satisfied_by(assignment)
@@ -124,9 +128,9 @@ def test_hand_built_two_state_witness_satisfies_system():
 
 
 def test_certificate_check_against_rejects_fabrications():
-    system = ConstraintSystem(variables=("a", "b", "c"))
-    system.add_lt("a", "b")
-    system.add_le("b", "a")
+    system = ConstraintSystem(
+        variables=("a", "b", "c"), nonstrict={("b", "a")}, strict={("a", "b")}
+    )
     good = solve_order_constraints(system)
     assert good.check_against(system)
     assert not UnsatCertificate(cycle=("a", "b"), strict_steps=(True,)).check_against(
@@ -254,14 +258,14 @@ def test_witness_values_are_small_integers():
 
 def random_system(rng, var_count=5, edge_count=7):
     variables = tuple(f"v{i}" for i in range(var_count))
-    system = ConstraintSystem(variables=variables)
+    nonstrict, strict = set(), set()
     for _ in range(edge_count):
         u, v = rng.sample(variables, 2)
         if rng.random() < 0.5:
-            system.add_lt(u, v)
+            strict.add((u, v))
         else:
-            system.add_le(u, v)
-    return system
+            nonstrict.add((u, v))
+    return ConstraintSystem(variables, nonstrict, strict)
 
 
 def test_solver_sound_and_monotone():
@@ -276,8 +280,9 @@ def test_solver_sound_and_monotone():
             unsat_seen += 1
             assert outcome.check_against(system)
             u, v = rng.sample(system.variables, 2)
-            system.add_le(u, v)
-            again = solve_order_constraints(system)
+            again = solve_order_constraints(ConstraintSystem(
+                system.variables, system.nonstrict | {(u, v)}, system.strict
+            ))
             assert isinstance(again, UnsatCertificate)
     assert unsat_seen > 10
 
@@ -300,3 +305,64 @@ def test_witness_to_game_and_format_var():
     assert game.strategies == ("0", "1")
     assert format_var(mat(0, 1), ("0", "1")) == "M[0,1]"
     assert format_var(DELTA, ("0", "1")) == "threshold"
+
+
+@st.composite
+def symmetric_protocols(draw):
+    """Symmetric rule tables on 1 to 3 states.  Either every pair draws one
+    successor pair (a diagonal one of the form (d, d)), or each unordered
+    pair draws up to three and a diagonal set is closed under swapping; the
+    mirror pair gets the mirrored set."""
+    k = draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    deterministic = draw(st.booleans())
+    rules = {}
+    for q in range(k):
+        for r in range(q, k):
+            if deterministic:
+                a, b = draw(pairs)
+                succs = {(a, a) if q == r else (a, b)}
+            else:
+                succs = draw(st.sets(pairs, min_size=1, max_size=3))
+                if q == r:
+                    succs |= {(b, a) for a, b in succs}
+            rules[(q, r)] = frozenset(succs)
+            rules[(r, q)] = frozenset((b, a) for a, b in succs)
+    return Protocol("drawn", tuple(f"s{i}" for i in range(k)), rules)
+
+
+@st.composite
+def derived_protocols(draw):
+    """Tie-keeping derivations of 2- and 3-strategy games over {0, 1, 2}:
+    Pavlovian, and nondeterministic wherever a column ties."""
+    k = draw(st.integers(2, 3))
+    values = st.integers(0, 2)
+    payoff = [[draw(values) for _ in range(k)] for _ in range(k)]
+    game = make_game("drawn", [f"s{i}" for i in range(k)], payoff, draw(values))
+    return derive_protocol(game, ALL_TIES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(symmetric_protocols(), derived_protocols()), st.sampled_from([EXACT, SUBSET])
+)
+def test_numbered_systems_match_the_definition(protocol, mode):
+    k = protocol.state_count
+    system = build_constraints(protocol, mode)
+    assert system.ranked == (DELTA,) + tuple(mat(i, j) for i in range(k) for j in range(k))
+    nonstrict, strict = oracles.comparison_system(protocol.rules, k, mode == EXACT)
+    assert system.nonstrict == nonstrict
+    assert system.strict == strict
+
+    solved = solve_order_constraints(system)
+    found = check_pavlovian(protocol, mode)
+    if isinstance(found, Witness):
+        assert system.satisfied_by(solved)
+        assignment = {mat(i, j): found.matrix[i][j] for i in range(k) for j in range(k)}
+        assignment[DELTA] = found.threshold
+        assert system.satisfied_by(assignment)
+    elif found.certificate is not None:
+        assert found.certificate == solved
+        assert found.certificate.check_against(build_constraints(protocol, mode))
+    else:
+        assert mode == EXACT and "factor" in found.reason

@@ -46,12 +46,11 @@ def test_bottoms_match_reference(adjacency):
 def constraint_systems(draw):
     n = draw(st.integers(1, 6))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    system = ConstraintSystem(variables=tuple(range(n)))
-    for u, v in draw(st.sets(pairs, max_size=2 * n)):
-        system.add_le(u, v)
-    for u, v in draw(st.sets(pairs, max_size=n)):
-        system.add_lt(u, v)
-    return system
+    return ConstraintSystem(
+        variables=tuple(range(n)),
+        nonstrict=draw(st.sets(pairs, max_size=2 * n)),
+        strict=draw(st.sets(pairs, max_size=n)),
+    )
 
 
 def strict_cycle_exists(system: ConstraintSystem) -> bool:
