@@ -2,10 +2,13 @@
 
     python3 benchmarks/bench_verify.py [--repeats 3]
 
-Three workloads, each timed best of `--repeats` after its inputs are built:
+Four workloads, each timed best of `--repeats` after its inputs are built:
 
   verify    stably_computes(symmetrize(majority), "n_0 >= n_1", sizes 2..10),
             in configurations explored per second (21,489 configurations)
+  failing   the same with "n_0 > n_1", which fails on the five inputs with
+            n_0 = n_1 and so builds their counterexample paths, in
+            configurations per second
   pavcheck  check_pavlovian (exact mode) on every symmetric deterministic
             3-state dynamics (19,683), in protocols per second
   search    popgames search --states 3 --predicate "n_1 >= 1" --sizes 2..4
@@ -13,11 +16,12 @@ Three workloads, each timed best of `--repeats` after its inputs are built:
             per repeat)
 
 `reachable` keeps the graphs of the last move table it explored, so before
-each timed verify repeat the benchmark explores another protocol (or, from
-one start), which empties that memo: every repeat explores all 21,489
-configurations again.  Each answer is checked before its time counts: the
-verdict must pass, and the pavcheck records and the search JSON must have
-the sha256 digests below.  The pavcheck records are one JSON line per
+each timed verify or failing repeat the benchmark explores another protocol
+(or, from one start), which empties that memo: every repeat explores all
+21,489 configurations again.  Each answer is checked before its time
+counts: the verify verdict must pass, and the failing verdict's JSON (as
+`popgames verify` prints it), the pavcheck records and the search JSON must
+have the sha256 digests below.  The pavcheck records are one JSON line per
 dynamics, the witness or the refusal with its certificate, written as
 `tests/test_golden_exact.py` writes them; the digest is that file's
 "check_pavlovian 3 states all".
@@ -48,6 +52,8 @@ from popgames.pavcheck import EXACT
 
 VERIFY_SIZES = range(2, 11)
 PREDICATE = "n_0 >= n_1"
+FAILING_PREDICATE = "n_0 > n_1"
+FAILING_VERDICT_SHA256 = "18c70b08645b57290a48bff2d9dbeef8437f57f7500415ef7431e8a3516fdc51"
 PAVCHECK_3STATE_SHA256 = "0522e907e878c580df27cd46ecbe9d5332e6bd6ca4a8d0589aa7aa2be52ad8c3"
 SEARCH_3STATE = ["search", "--states", "3", "--predicate", "n_1 >= 1",
                  "--sizes", "2..4", "--json"]
@@ -68,7 +74,9 @@ def best_of(repeats: int, work, before=None) -> tuple[float, object]:
     return best, result
 
 
-def verify_workload(repeats: int) -> tuple[int, float]:
+def time_verdict(predicate: str, repeats: int):
+    """Configurations explored by stably_computes(symmetrize(majority),
+    `predicate`, sizes 2..10), the best time, the protocol and the verdict."""
     protocol = symmetrize(builtin("majority"))
     alphabet = protocol.input_alphabet
     configurations = 0
@@ -80,11 +88,26 @@ def verify_workload(repeats: int) -> tuple[int, float]:
     other = builtin("or")
     seconds, verdict = best_of(
         repeats,
-        lambda: stably_computes(protocol, PREDICATE, VERIFY_SIZES),
+        lambda: stably_computes(protocol, predicate, VERIFY_SIZES),
         before=lambda: reachable(other, (1, 1)),
     )
+    return configurations, seconds, protocol, verdict
+
+
+def verify_workload(repeats: int) -> tuple[int, float]:
+    configurations, seconds, _, verdict = time_verdict(PREDICATE, repeats)
     if not verdict.passed:
         raise RuntimeError("symmetrized majority failed its predicate")
+    return configurations, seconds
+
+
+def failing_workload(repeats: int) -> tuple[int, float]:
+    configurations, seconds, protocol, verdict = time_verdict(FAILING_PREDICATE, repeats)
+    text = json.dumps(verdict.as_dict(protocol), indent=2)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if digest != FAILING_VERDICT_SHA256:
+        raise RuntimeError(
+            f"failing verdict has sha256 {digest}, expected {FAILING_VERDICT_SHA256}")
     return configurations, seconds
 
 
@@ -151,6 +174,7 @@ def main() -> None:
     print(f"{'workload':<10} {'work':>8} {'best s':>8} {'per second':>12}")
     for name, unit, workload in (
         ("verify", "configurations", verify_workload),
+        ("failing", "configurations", failing_workload),
         ("pavcheck", "protocols", pavcheck_workload),
         ("search", "candidates", search_workload),
     ):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .core import (
     Protocol,
@@ -31,6 +32,7 @@ SUBSET = "subset"
 Var = Hashable
 Edge = tuple[Var, Var]
 IdEdges = frozenset[tuple[int, int]]
+Block = tuple[IdEdges, IdEdges]
 
 # Variable keys: ("M", i, j) for matrix entries, "delta" for the threshold.
 DELTA: Var = "delta"
@@ -71,11 +73,13 @@ class ConstraintSystem:
     """Order comparisons between declared variables: (u, v) in `nonstrict`
     means u <= v, in `strict` u < v.
 
-    Each comparison is stored once, as a pair of variable ids in `le` or
-    `lt`.  A variable's id is its rank in `_var_key` order, `ranked[id]`.
-    `nonstrict` and `strict` are the same comparisons as pairs of variables,
-    built on first access.  A comparison naming an undeclared variable is
-    refused.
+    Each comparison is stored once, as a pair of variable ids.  A variable's
+    id is its rank in `_var_key` order, `ranked[id]`.  The comparisons come
+    in `blocks`, pairs (le, lt) of id-pair sets for <= and <, and no two
+    blocks share a variable but id 0; a system built here is one block.
+    `nonstrict` and `strict` are all blocks' comparisons as pairs of
+    variables, built on first access.  A comparison naming an undeclared
+    variable is refused.
     """
 
     def __init__(
@@ -87,31 +91,33 @@ class ConstraintSystem:
         self.variables = tuple(variables)
         self.ranked, order = _ranking(self.variables)
         try:
-            self.le: IdEdges = frozenset((order[u], order[v]) for u, v in nonstrict)
-            self.lt: IdEdges = frozenset((order[u], order[v]) for u, v in strict)
+            le = frozenset((order[u], order[v]) for u, v in nonstrict)
+            lt = frozenset((order[u], order[v]) for u, v in strict)
         except KeyError as missing:
             raise ProtocolError(
                 f"constraint references undeclared variable: {missing.args[0]!r}"
             ) from None
+        self.blocks: tuple[Block, ...] = ((le, lt),)
 
     @classmethod
     def _numbered(
-        cls, variables: tuple[Var, ...], ranked: tuple[Var, ...], le: IdEdges, lt: IdEdges
+        cls, variables: tuple[Var, ...], ranked: tuple[Var, ...], blocks: tuple[Block, ...]
     ) -> ConstraintSystem:
-        """A system from comparisons that are already id pairs over `ranked`."""
+        """A system from blocks of comparisons that are already id pairs over
+        `ranked` and share no id but 0."""
         system = cls.__new__(cls)
-        system.variables, system.ranked, system.le, system.lt = variables, ranked, le, lt
+        system.variables, system.ranked, system.blocks = variables, ranked, blocks
         return system
 
     @cached_property
     def nonstrict(self) -> frozenset[Edge]:
         ranked = self.ranked
-        return frozenset((ranked[u], ranked[v]) for u, v in self.le)
+        return frozenset((ranked[u], ranked[v]) for le, _ in self.blocks for u, v in le)
 
     @cached_property
     def strict(self) -> frozenset[Edge]:
         ranked = self.ranked
-        return frozenset((ranked[u], ranked[v]) for u, v in self.lt)
+        return frozenset((ranked[u], ranked[v]) for _, lt in self.blocks for u, v in lt)
 
     def satisfied_by(self, assignment: dict[Var, object]) -> bool:
         """Check a concrete assignment against every recorded comparison."""
@@ -183,8 +189,8 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
         the refusal flows through the ordinary certificate machinery.
     Symmetry makes the second agent's conditions the mirrored pairs' first-agent
     conditions, so one pass over ordered pairs covers both.  Every comparison
-    for (q1, q2) involves only column q2 and the threshold, so the system is
-    the union of its columns' (`_column_constraints`).
+    for (q1, q2) involves only column q2 and the threshold, so each column's
+    comparisons (`_column_constraints`) are one block of the system.
     """
     if mode not in (EXACT, SUBSET):
         raise ProtocolError(f"unknown constraint mode {mode!r}")
@@ -200,12 +206,7 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
         for q2 in range(n)
     ]
     variables, ranked = _matrix_variables(n)
-    return ConstraintSystem._numbered(
-        variables,
-        ranked,
-        frozenset().union(*[le for le, _ in columns]),
-        frozenset().union(*[lt for _, lt in columns]),
-    )
+    return ConstraintSystem._numbered(variables, ranked, tuple(columns))
 
 
 @lru_cache(maxsize=1024)
@@ -249,16 +250,66 @@ def solve_order_constraints(
     """Satisfy a system of <= / < comparisons with small integers, or certify
     that a cycle through a strict comparison makes it impossible.
 
-    Strongly connected components of the full comparison graph must collapse
-    to equal values; a strict edge inside one is the impossibility.  Otherwise
+    Strongly connected components of the comparison graph must collapse to
+    equal values; a strict edge inside one is the impossibility.  Otherwise
     components are ranked along longest paths in the condensation, strict
     edges forcing a rank increase, which yields values bounded by the number
     of variables.  Ids follow `_var_key` rank, so arcs are taken in that
     order and the certificate closes the least strict edge in it.
+
+    Each block is solved by itself (`_solve_block`), once per distinct
+    block.  Blocks share only id 0, and a simple cycle passes id 0 at most
+    once, so every cycle lies in one block: the components, the strict
+    edges inside them and the certificate's search are each block's own.
+    Let D be id 0's component.  A path that leaves D never returns, so the
+    longest path to a variable x either avoids D, a(x), or passes it,
+    R + d(x), where R (`top`) is the longest path into D over all blocks and
+    d(x) the longest path from D to x.  x's rank is the larger of the two.
     """
-    ranked, le, lt = system.ranked, system.le, system.lt
+    solved = [_solve_block(le, lt) for le, lt in system.blocks]
+    refusals = [s.refusal for s in solved if s.refusal is not None]
+    if refusals:
+        _, cycle, strict_steps = min(refusals)
+        ranked = system.ranked
+        return UnsatCertificate(
+            cycle=tuple([ranked[x] for x in cycle]), strict_steps=strict_steps
+        )
+
+    top = max([s.into_d for s in solved])
+    # id 0 ranks R and ids that no block names rank 0 (a system without
+    # variables reads none of this list)
+    rank = [top] + [0] * (len(system.ranked) - 1)
+    for s in solved:
+        for x, a, d in s.ranks:
+            rank[x] = a if d < 0 else max(a, top + d)
+    order = _ranking(system.variables)[1]
+    return {var: rank[order[var]] for var in system.variables}
+
+
+class _BlockSolution(NamedTuple):
+    """One block solved by itself, over the system's ids.
+
+    `refusal` is None, or the least strict edge inside a component with the
+    certificate's cycle of ids and its strict steps.  Otherwise `into_d` is
+    the longest path into D, id 0's component, and `ranks` lists each id
+    but 0 that the block names with a(x), its longest path avoiding D (at
+    least 0), and d(x), its longest path from D (-1 where there is none);
+    a path's length is its count of strict edges.
+    """
+
+    refusal: tuple[tuple[int, int], tuple[int, ...], tuple[bool, ...]] | None
+    into_d: int
+    ranks: tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=1024)
+def _solve_block(le: IdEdges, lt: IdEdges) -> _BlockSolution:
+    """Solve the comparisons u <= v for (u, v) in `le` and u < v in `lt`
+    alone.  Cached: a block recurs in many systems, and `build_constraints`
+    hands out the same sets for the same column."""
+    named = {0}.union(*le, *lt)
     # an arc both <= and < is listed twice, which changes neither search
-    adjacency: list[list[int]] = [[] for _ in ranked]
+    adjacency: list[list[int]] = [[] for _ in range(max(named) + 1)]
     for u, v in le:
         adjacency[u].append(v)
     for u, v in lt:
@@ -267,7 +318,7 @@ def solve_order_constraints(
         arcs.sort()
 
     components = strongly_connected_components(adjacency)
-    comp_of = [0] * len(ranked)
+    comp_of = [0] * len(adjacency)
     for ci, comp in enumerate(components):
         for v in comp:
             comp_of[v] = ci
@@ -275,7 +326,7 @@ def solve_order_constraints(
     inside = [edge for edge in lt if comp_of[edge[0]] == comp_of[edge[1]]]
     if inside:
         u, v = min(inside)
-        return _certificate(ranked, lt, adjacency, comp_of, u, v)
+        return _BlockSolution(((u, v), *_certificate(lt, adjacency, comp_of, u, v)), 0, ())
 
     # Condensation DAG with a rank step of 1 on strict edges.  Components
     # come out of Tarjan's search after every component they reach, so
@@ -286,25 +337,34 @@ def solve_order_constraints(
             cu, cv = comp_of[u], comp_of[v]
             if cu != cv:
                 out[cu].add((cv, step))
-    rank = [0] * len(components)
+    zero = comp_of[0]
+    into_d = 0
+    a = [0] * len(components)
+    d = [-1] * len(components)
+    d[zero] = 0
     for c in reversed(range(len(components))):
-        for d, step in out[c]:
-            if rank[c] + step > rank[d]:
-                rank[d] = rank[c] + step
-
-    order = _ranking(system.variables)[1]
-    return {var: rank[comp_of[order[var]]] for var in system.variables}
+        for e, step in out[c]:
+            if d[c] >= 0 and d[c] + step > d[e]:
+                d[e] = d[c] + step
+            if c == zero:
+                continue
+            if e == zero:
+                into_d = max(into_d, a[c] + step)
+            elif a[c] + step > a[e]:
+                a[e] = a[c] + step
+    ranks = tuple([(x, a[comp_of[x]], d[comp_of[x]]) for x in sorted(named) if x != 0])
+    return _BlockSolution(None, into_d, ranks)
 
 
 def _certificate(
-    ranked: tuple[Var, ...],
     strict: IdEdges,
     adjacency: list[list[int]],
     comp_of: list[int],
     u: int,
     v: int,
-) -> UnsatCertificate:
-    """Close the strict edge u < v into a cycle via a path v -> u inside its SCC."""
+) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Close the strict edge u < v into a cycle of ids via a path v -> u
+    inside its SCC, with whether each step is strict."""
     target_comp = comp_of[u]
     parents = {v: v}
     frontier = [v]
@@ -326,9 +386,7 @@ def _certificate(
     strict_steps = [True]
     for k in range(1, len(cycle) - 1):
         strict_steps.append((cycle[k], cycle[k + 1]) in strict)
-    return UnsatCertificate(
-        cycle=tuple(ranked[x] for x in cycle), strict_steps=tuple(strict_steps)
-    )
+    return tuple(cycle), tuple(strict_steps)
 
 
 def default_mode(protocol: Protocol) -> str:
@@ -424,8 +482,11 @@ def _check(protocol: Protocol, mode: str) -> Witness | NotPavlovian:
 
 def witness_reproduces(witness: Witness, protocol: Protocol, mode: str) -> bool:
     """Re-derive from the witness and compare against the protocol: equality in
-    exact mode, successor-set containment in subset mode."""
-    derived = derive_protocol(witness.to_game(), ALL_TIES)
+    exact mode, successor-set containment in subset mode.  `derive_protocol`
+    reads each payoff's numerator and denominator, which integers have too,
+    so the game is made from the witness's integers as they are."""
+    game = Game("witness", witness.states, witness.matrix, witness.threshold)
+    derived = derive_protocol(game, ALL_TIES)
     if mode == EXACT:
         return derived.rules == protocol.rules
     return all(

