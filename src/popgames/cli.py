@@ -13,13 +13,20 @@ beyond them.  `simulate` checks the stop rule before the step budget (so
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import _kernels
-from .core import Protocol, ProtocolError, initial_config, is_deterministic, is_symmetric
+from . import core
+from .core import (
+    Protocol,
+    ProtocolError,
+    config_of,
+    initial_config,
+    is_deterministic,
+    is_symmetric,
+)
 from .formats import (
     FormatError,
     parse_game,
@@ -92,16 +99,6 @@ def _parse_counts(spec: str, what: str) -> dict[str, int]:
     return counts
 
 
-def _parse_bindings(spec: str) -> dict[str, str]:
-    bindings: dict[str, str] = {}
-    for part in spec.split(","):
-        key, sep, value = part.partition("=")
-        if not sep or not key or not value:
-            raise ProtocolError(f"expected a=b,c=d bindings, got {spec!r}")
-        bindings[key] = value
-    return bindings
-
-
 def _parse_stop(spec: str):
     if spec == "silent":
         return "silent"
@@ -125,9 +122,12 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 # check
 
 
-def _witness_lines(protocol: Protocol, witness: Witness) -> list[str]:
-    game = witness.to_game(protocol.name + "-witness")
-    return print_game(game).rstrip("\n").split("\n")
+def _witness_json(witness: Witness) -> dict:
+    return {"matrix": [list(row) for row in witness.matrix], "threshold": witness.threshold}
+
+
+def _witness_game(protocol: Protocol, witness: Witness) -> str:
+    return print_game(witness.to_game(protocol.name + "-witness"))
 
 
 def cmd_check(args) -> int:
@@ -154,12 +154,9 @@ def cmd_check(args) -> int:
     result = check_pavlovian(protocol, mode)
     if isinstance(result, Witness):
         payload["pavlovian"] = True
-        payload["witness"] = {
-            "matrix": [list(row) for row in result.matrix],
-            "threshold": result.threshold,
-        }
+        payload["witness"] = _witness_json(result)
         lines.append(f"pavlovian: yes (mode {mode})")
-        lines.extend(_witness_lines(protocol, result))
+        lines.extend(_witness_game(protocol, result).splitlines())
         _emit(args, payload, lines)
         return 0
 
@@ -187,40 +184,25 @@ def cmd_check(args) -> int:
 # derive
 
 
-def attach_io(
-    protocol: Protocol,
-    inputs: dict[str, str] | None,
-    outputs: dict[str, str] | None,
-) -> Protocol:
-    """Attach input/output maps to a bare derived protocol."""
-    changes = {}
-    if inputs:
-        for state in inputs.values():
-            protocol.index(state)
-        changes["input_alphabet"] = tuple(inputs)
-        changes["input_map"] = {s: protocol.index(q) for s, q in inputs.items()}
-    if outputs:
-        bits = {}
-        for state, bit in outputs.items():
-            if bit not in ("0", "1"):
-                raise ProtocolError(f"output must be 0 or 1, got {bit!r}")
-            bits[protocol.index(state)] = int(bit)
-        missing = [s for i, s in enumerate(protocol.states) if i not in bits]
-        if missing:
-            raise ProtocolError(f"output map misses state {missing[0]!r}")
-        changes["output_map"] = tuple(bits[i] for i in range(len(protocol.states)))
-    return dataclasses.replace(protocol, **changes) if changes else protocol
+def attach_io(protocol: Protocol, inputs: str | None, outputs: str | None) -> Protocol:
+    """Attach the maps of `--inputs 0=C,1=D` and `--outputs C=1,D=0`, split
+    into (key, value) pairs in their order; `core.attach_io` checks them."""
+
+    def pairs(spec: str) -> list[tuple[str, str]]:
+        return [part.partition("=")[::2] for part in spec.split(",")]
+
+    bit = {"0": 0, "1": 1}
+    return core.attach_io(
+        protocol,
+        pairs(inputs) if inputs else None,
+        [(state, bit.get(b, b)) for state, b in pairs(outputs)] if outputs else None,
+    )
 
 
 def cmd_derive(args) -> int:
     game = parse_game(_read(args.file))
     mode = ALL_TIES if args.tie_break == "all" else LOWEST_INDEX
-    protocol = derive_protocol(game, mode)
-    protocol = attach_io(
-        protocol,
-        _parse_bindings(args.inputs) if args.inputs else None,
-        _parse_bindings(args.outputs) if args.outputs else None,
-    )
+    protocol = attach_io(derive_protocol(game, mode), args.inputs, args.outputs)
     sys.stdout.write(print_protocol(protocol))
     return 0
 
@@ -240,15 +222,8 @@ def _resolve_init(args, protocol: Protocol) -> tuple:
     if spec.startswith("all-"):
         if not args.size:
             raise ProtocolError("--init-states all-<state> needs --size")
-        state = spec[4:]
-        counts = [0] * protocol.state_count
-        counts[protocol.index(state)] = args.size
-        return tuple(counts)
-    named = _parse_counts(spec, "--init-states")
-    counts = [0] * protocol.state_count
-    for state, count in named.items():
-        counts[protocol.index(state)] += count
-    return tuple(counts)
+        return config_of(protocol, {spec[4:]: args.size})
+    return config_of(protocol, _parse_counts(spec, "--init-states"))
 
 
 def _resolve_graph(args, population: int) -> InteractionGraph | None:
@@ -369,18 +344,13 @@ def cmd_search(args) -> int:
         entry = {
             "name": protocol.name,
             "protocol": print_protocol(protocol),
-            "witness": {
-                "matrix": [list(row) for row in witness.matrix],
-                "threshold": witness.threshold,
-            },
+            "witness": _witness_json(witness),
         }
         findings.append(entry)
         if not args.json:
             print(f"# finding {len(findings)}")
             sys.stdout.write(entry["protocol"])
-            sys.stdout.write(
-                print_game(witness.to_game(protocol.name + "-witness"))
-            )
+            sys.stdout.write(_witness_game(protocol, witness))
             print()
     if args.json:
         print(json.dumps(findings, indent=2))

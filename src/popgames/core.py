@@ -11,7 +11,7 @@ configurations for restricted interaction graphs live in :mod:`popgames.sim`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import add
 
@@ -132,8 +132,8 @@ def make_protocol(
     """Build a protocol from state names and rule 4-tuples (q1, q2, q1', q2').
 
     Repeated rules for one ordered pair accumulate into a successor set.
-    `inputs` maps input symbols to state names; `outputs` maps every state
-    name to its output bit.  The rule table is identity-completed.
+    The rule table is identity-completed; `inputs` and `outputs` are
+    attached and checked by `attach_io`.
     """
     state_tab = tuple(states)
     if len(set(state_tab)) != len(state_tab):
@@ -150,33 +150,63 @@ def make_protocol(
     raw: dict[Pair, set[Pair]] = {}
     for q1, q2, a, b in rules:
         raw.setdefault((lookup(q1), lookup(q2)), set()).add((lookup(a), lookup(b)))
-    completed = complete(raw, len(state_tab))
+    bare = Protocol(name=name, states=state_tab, rules=complete(raw, len(state_tab)))
+    return attach_io(bare, inputs, outputs)
 
-    input_alphabet: tuple[str, ...] = ()
-    input_map: dict[str, int] | None = None
+
+def input_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
+    """The symbols as a tuple, once each checked to be a token that a
+    protocol file can hold (non-empty, with no whitespace, `=` or `#`) and
+    not repeated."""
+    alphabet = tuple(symbols)
+    for i, sym in enumerate(alphabet):
+        if not isinstance(sym, str) or sym.split() != [sym] or "=" in sym or "#" in sym:
+            raise ProtocolError(
+                f"input symbol {sym!r} must be a non-empty token "
+                "without whitespace, '=' or '#'"
+            )
+        if sym in alphabet[:i]:
+            raise ProtocolError(f"duplicate input symbol {sym!r}")
+    return alphabet
+
+
+def attach_io(
+    protocol: Protocol,
+    inputs: Mapping[str, str] | Iterable[tuple[str, str]] | None = None,
+    outputs: Mapping[str, int] | Iterable[tuple[str, int]] | None = None,
+) -> Protocol:
+    """`protocol` with the given maps attached, each checked whole.
+
+    `inputs` binds input symbols (see `input_symbols`) to state names and
+    `outputs` every state name to its bit, 0 or 1.  Either is a mapping or a
+    sequence of (key, value) pairs, in which no key may repeat; None leaves
+    that map as it is.
+    """
+    changes = {}
     if inputs is not None:
-        input_alphabet = tuple(inputs)
-        input_map = {sym: lookup(st) for sym, st in inputs.items()}
-
-    output_map: tuple[int, ...] | None = None
+        pairs = tuple(inputs.items() if isinstance(inputs, Mapping) else inputs)
+        alphabet = input_symbols(sym for sym, _ in pairs)
+        input_map = {}
+        for sym, state in pairs:
+            if state not in protocol.states:
+                raise ProtocolError(f"input {sym!r} bound to unknown state {state!r}")
+            input_map[sym] = protocol.states.index(state)
+        changes.update(input_alphabet=alphabet, input_map=input_map)
     if outputs is not None:
-        missing = set(state_tab) - set(outputs)
-        if missing:
-            raise ProtocolError(f"output map missing states: {sorted(missing)}")
-        for s, bit in outputs.items():
-            lookup(s)
+        bits: dict[str, int] = {}
+        for state, bit in outputs.items() if isinstance(outputs, Mapping) else outputs:
+            if state not in protocol.states:
+                raise ProtocolError(f"output for unknown state {state!r}")
             if bit not in (0, 1):
-                raise ProtocolError(f"output bit for {s!r} must be 0 or 1, got {bit!r}")
-        output_map = tuple(outputs[s] for s in state_tab)
-
-    return Protocol(
-        name=name,
-        states=state_tab,
-        rules=completed,
-        input_alphabet=input_alphabet,
-        input_map=input_map,
-        output_map=output_map,
-    )
+                raise ProtocolError(f"output bit for {state!r} must be 0 or 1, got {bit!r}")
+            if state in bits:
+                raise ProtocolError(f"duplicate output for state {state!r}")
+            bits[state] = bit
+        missing = [s for s in protocol.states if s not in bits]
+        if missing:
+            raise ProtocolError(f"output map misses state {missing[0]!r}")
+        changes["output_map"] = tuple(bits[s] for s in protocol.states)
+    return replace(protocol, **changes)
 
 
 def is_deterministic(protocol: Protocol) -> bool:
@@ -216,6 +246,7 @@ def config_of(protocol: Protocol, state_multiset: Mapping[str, int]) -> Config:
     """Count vector for a multiset given by state name, for direct inits."""
     counts = [0] * protocol.state_count
     for st, k in state_multiset.items():
+        k = int(k)
         if k < 0:
             raise ProtocolError(f"negative count for state {st!r}")
         counts[protocol.index(st)] += k

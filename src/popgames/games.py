@@ -32,12 +32,6 @@ class Game:
     payoff: tuple[tuple[Fraction, ...], ...]
     threshold: Fraction
 
-    def index(self, strategy: str) -> int:
-        try:
-            return self.strategies.index(strategy)
-        except ValueError:
-            raise ProtocolError(f"unknown strategy {strategy!r}") from None
-
     @property
     def size(self) -> int:
         return len(self.strategies)
@@ -58,35 +52,6 @@ def make_game(
             f"payoff matrix must be {len(strats)}x{len(strats)} for {name!r}"
         )
     return Game(name=name, strategies=strats, payoff=rows, threshold=Fraction(threshold))
-
-
-def _best_response_idx(game: Game, y: int, excluded: int | None = None) -> list[int]:
-    candidates = [x for x in range(game.size) if x != excluded]
-    if not candidates:
-        raise ProtocolError(
-            f"no strategy left to shift to in {game.name!r}: "
-            f"cannot exclude {game.strategies[excluded]!r} from a 1-strategy game"
-        )
-    best = max(game.payoff[x][y] for x in candidates)
-    return [x for x in candidates if game.payoff[x][y] == best]
-
-
-def best_response(game: Game, y: str) -> set[str]:
-    """Strategies maximizing the row payoff against y (the argmax of column y)."""
-    return {game.strategies[x] for x in _best_response_idx(game, game.index(y))}
-
-
-def best_response_excluding(game: Game, y: str, excluded: str) -> set[str]:
-    """Argmax of column y restricted to strategies other than `excluded`."""
-    return {
-        game.strategies[x]
-        for x in _best_response_idx(game, game.index(y), game.index(excluded))
-    }
-
-
-def is_win(game: Game, q1: str, q2: str) -> bool:
-    """True iff playing q1 against q2 meets the threshold (the agent stays)."""
-    return game.payoff[game.index(q1)][game.index(q2)] >= game.threshold
 
 
 def _agent_moves(game: Game, mode: str) -> dict[Pair, list[int]]:

@@ -34,6 +34,7 @@ from .core import (
     Config,
     Protocol,
     ProtocolError,
+    config_of,
     histogram,
     output_of_config,
     strongly_connected_components,
@@ -167,9 +168,7 @@ def _stop_params(
 def _as_counts(protocol: Protocol, init) -> list[int]:
     n = protocol.state_count
     if isinstance(init, Mapping):
-        counts = [0] * n
-        for state, count in init.items():
-            counts[protocol.index(state)] += int(count)
+        counts = list(config_of(protocol, init))
     else:
         if len(init) != n:
             raise ProtocolError(f"count vector length {len(init)} != {n} states")

@@ -30,6 +30,7 @@ from .core import (
     ProtocolError,
     complete,
     config_to_dict,
+    input_symbols,
     output_of_config,
     strongly_connected_components,
     successors,
@@ -718,11 +719,6 @@ def _input_cases(
     return tuple(cases)
 
 
-def leader_count(protocol: Protocol, config: Config, leader_states: Iterable[str]) -> int:
-    indices = {protocol.index(s) for s in leader_states}
-    return sum(config[i] for i in indices)
-
-
 def stable_leader(
     protocol: Protocol,
     leader_states: Iterable[str],
@@ -732,10 +728,12 @@ def stable_leader(
 ) -> Verdict:
     """Check that every allowed initial multiset with at least one leader
     drives every bottom-SCC configuration to exactly one leader."""
-    leader_states = tuple(leader_states)
     leader_idx = {protocol.index(s) for s in leader_states}
     pool = tuple(initial_states) if initial_states is not None else protocol.states
     pool_idx = [protocol.index(s) for s in pool]
+    repeated = [s for i, s in enumerate(pool) if s in pool[:i]]
+    if repeated:
+        raise ProtocolError(f"initial state {repeated[0]!r} is listed twice")
     sizes = _check_sizes(sizes)
 
     def cases():
@@ -750,7 +748,7 @@ def stable_leader(
     return _check_bottoms(
         protocol,
         cases(),
-        lambda config: leader_count(protocol, config, leader_states),
+        lambda config: sum(config[i] for i in leader_idx),
         "leader-count",
         sizes,
         budget,
@@ -783,9 +781,8 @@ def iter_search_pavlovian(
     expr = _as_predicate(predicate)
     sizes = _check_sizes(sizes)
     if alphabet is None:
-        alphabet = tuple(sorted(predicate_symbols(expr)))
-    else:
-        alphabet = tuple(alphabet)
+        alphabet = sorted(predicate_symbols(expr))
+    alphabet = input_symbols(alphabet)
     if not alphabet:
         raise ProtocolError("empty input alphabet")
     k = state_count

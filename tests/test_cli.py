@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from popgames import builtin, make_game, parse_protocol, print_game, print_protocol
+from popgames.core import attach_io
 from popgames.cli import main
 from popgames.games import ALL_TIES, derive_protocol
 
@@ -118,6 +119,36 @@ def test_derive_partial_outputs_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "derive", path, "--outputs", "C=1")
     assert code == 2
     assert "misses state" in err
+
+
+def test_derive_output_parses_back_equal(tmp_path, capsys):
+    path = game_file(tmp_path, builtin("pd"))
+    code, out, _ = run_cli(
+        capsys, "derive", path, "--inputs", "0=C,1=D,x=C", "--outputs", "C=1,D=0")
+    assert code == 0
+    assert print_protocol(parse_protocol(out)) == out
+    assert parse_protocol(out) == attach_io(
+        derive_protocol(builtin("pd"), ALL_TIES),
+        {"0": "C", "1": "D", "x": "C"},
+        {"C": 1, "D": 0},
+    )
+
+
+def test_derive_refuses_repeated_keys_and_unwritable_symbols(tmp_path, capsys):
+    path = game_file(tmp_path, builtin("pd"))
+    cases = [
+        (("--inputs", "0=C,0=D"), "duplicate input symbol '0'"),
+        (("--outputs", "C=1,D=0,C=0"), "duplicate output for state 'C'"),
+        (("--inputs", "0=C,a b=D"), "input symbol 'a b'"),
+        (("--inputs", "0=C,=D"), "input symbol ''"),
+        (("--inputs", "0=C,#=D"), "input symbol '#'"),
+        (("--inputs", "0=C,1=Z"), "unknown state 'Z'"),
+        (("--outputs", "C=1,D=2"), "output bit for 'D' must be 0 or 1"),
+    ]
+    for flags, message in cases:
+        code, out, err = run_cli(capsys, "derive", path, *flags)
+        assert (code, out) == (2, ""), flags
+        assert message in err, flags
 
 
 def test_derive_tie_break_modes(tmp_path, capsys):
@@ -302,6 +333,12 @@ def test_verify_leader_election(tmp_path, capsys):
         "--initial-states", "L1,N")
     assert code == 0
 
+    code, out, err = run_cli(
+        capsys, "verify", path, "--leaders", "L1,L2", "--sizes", "3..3",
+        "--initial-states", "L1,L1")
+    assert (code, out) == (2, "")
+    assert "initial state 'L1' is listed twice" in err
+
 
 def test_verify_property_flags(tmp_path, capsys):
     path = protocol_file(tmp_path, builtin("or"))
@@ -416,6 +453,22 @@ def test_search_finds_or(tmp_path, capsys):
     assert code == 0
     assert "# finding 1" in out
     assert "finding(s) over sizes 2..3" in out
+
+
+def test_search_refuses_a_bad_alphabet(capsys):
+    cases = [
+        ("0,1,1", "duplicate input symbol '1'"),
+        ("0,,1", "input symbol ''"),
+        ("0,a b", "input symbol 'a b'"),
+        ("0,a=b", "input symbol 'a=b'"),
+        ("0,#1", "input symbol '#1'"),
+    ]
+    for alphabet, message in cases:
+        code, out, err = run_cli(
+            capsys, "search", "--states", "2", "--predicate", "n_1 >= 1",
+            "--sizes", "2..3", "--alphabet", alphabet, "--json")
+        assert (code, out) == (2, ""), alphabet
+        assert message in err, alphabet
 
 
 def test_search_budget(capsys):

@@ -18,6 +18,7 @@ from popgames import (
     successors,
     symmetry_violation,
 )
+from popgames.core import attach_io
 
 
 def test_complete_fills_identity_pairs():
@@ -184,6 +185,41 @@ def test_make_protocol_validation():
         make_protocol("bad-out", ["a", "b"], [], outputs={"a": 1})
     with pytest.raises(ProtocolError):
         make_protocol("bad-bit", ["a", "b"], [], outputs={"a": 2, "b": 0})
+
+
+def test_make_protocol_refuses_symbols_a_file_cannot_hold():
+    for symbol in ("", "a b", "a\tb", "a=b", "#", "x#"):
+        with pytest.raises(ProtocolError, match="input symbol"):
+            make_protocol("sym", ["a"], [], inputs={symbol: "a"})
+    with pytest.raises(ProtocolError, match="unknown state 'z'"):
+        make_protocol("sym", ["a"], [], inputs={"0": "z"})
+
+
+def test_attach_io_checks_pairs_once_each():
+    bare = make_protocol("bare", ["a", "b"], [("a", "b", "b", "b")])
+    full = make_protocol(
+        "bare", ["a", "b"], [("a", "b", "b", "b")],
+        inputs={"1": "b", "0": "a"}, outputs={"a": 0, "b": 1},
+    )
+    assert attach_io(bare, [("1", "b"), ("0", "a")], [("a", 0), ("b", 1)]) == full
+    assert attach_io(bare, {"1": "b", "0": "a"}, {"b": 1, "a": 0}) == full
+    assert attach_io(bare) == bare
+    assert full.input_alphabet == ("1", "0")
+    refused = [
+        ([("0", "a"), ("0", "b")], None, "duplicate input symbol '0'"),
+        (None, [("a", 0), ("b", 1), ("a", 1)], "duplicate output for state 'a'"),
+        (None, [("a", 0)], "output map misses state 'b'"),
+        (None, [("a", 0), ("c", 1)], "output for unknown state 'c'"),
+        (None, [("a", "1"), ("b", 0)], "output bit for 'a' must be 0 or 1"),
+    ]
+    for inputs, outputs, message in refused:
+        with pytest.raises(ProtocolError, match=message):
+            attach_io(bare, inputs, outputs)
+
+
+def test_config_of_names_a_negative_state():
+    with pytest.raises(ProtocolError, match="negative count for state 'Y'"):
+        config_of(builtin("majority"), {"N": 3, "Y": -1})
 
 
 def test_rule_accumulation():

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popgames import (
     FormatError,
+    ProtocolError,
     builtin,
     builtin_keys,
     derive_protocol,
+    make_game,
     make_protocol,
     parse_game,
     parse_protocol,
@@ -220,3 +224,70 @@ def test_states_with_odd_tokens_round_trip():
         outputs={"+": 1, "-": 0, "q'": 1},
     )
     assert parse_protocol(print_protocol(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# round trips over drawn protocols and games
+
+
+def tokens(forbidden):
+    """Non-empty strings without whitespace or `#`, and without the
+    characters in `forbidden`: what one token of a file can hold.  Printable
+    ASCII is drawn about as often as the rest of Unicode."""
+    bad = "#" + forbidden
+    chars = st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=bad)
+    chars |= st.characters(exclude_categories=("Cs",), exclude_characters=bad)
+    return st.text(chars, min_size=1, max_size=4).filter(lambda t: t.split() == [t])
+
+
+@st.composite
+def protocols(draw):
+    """Protocols of 1 to 4 states with drawn names, rules that may be
+    nondeterministic, and input and output maps that may be absent.  State
+    names hold no `=`, which ends the state of an output binding; input
+    symbols hold none either (see `core.input_symbols`)."""
+    states = draw(st.lists(tokens("="), min_size=1, max_size=4, unique=True))
+    state = st.sampled_from(states)
+    rules = draw(st.lists(st.tuples(state, state, state, state), max_size=12))
+    inputs = draw(st.none() | st.dictionaries(tokens("="), state, min_size=1, max_size=3))
+    bits = st.fixed_dictionaries({s: st.sampled_from((0, 1)) for s in states})
+    outputs = draw(st.none() | bits)
+    return make_protocol(draw(tokens("")), states, rules, inputs=inputs, outputs=outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocols())
+def test_protocol_text_round_trips(protocol):
+    text = print_protocol(protocol)
+    assert parse_protocol(text) == protocol
+    assert print_protocol(parse_protocol(text)) == text
+
+
+def test_input_symbols_take_every_printable_character_but_two():
+    for code in range(33, 127):
+        char = chr(code)
+        inputs = {char: "a", f"x{char}y": "b"}
+        if char in "=#":
+            with pytest.raises(ProtocolError, match="input symbol"):
+                make_protocol("p", ["a", "b"], [], inputs=inputs)
+        else:
+            p = make_protocol("p", ["a", "b"], [], inputs=inputs)
+            assert parse_protocol(print_protocol(p)) == p, char
+
+
+@st.composite
+def games(draw):
+    strategies = draw(st.lists(tokens(""), min_size=1, max_size=4, unique=True))
+    k = len(strategies)
+    # st.fractions draws are about ten times slower than these
+    entry = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12))
+    payoff = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    return make_game(draw(tokens("")), strategies, payoff, draw(entry))
+
+
+@settings(max_examples=200, deadline=None)
+@given(games())
+def test_game_text_round_trips(game):
+    text = print_game(game)
+    assert parse_game(text) == game
+    assert print_game(parse_game(text)) == text

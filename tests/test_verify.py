@@ -25,7 +25,6 @@ from popgames import (
     full_multiset_graph,
     full_vertex_graph,
     initial_config,
-    leader_count,
     make_protocol,
     monte_carlo,
     parse_predicate,
@@ -557,10 +556,21 @@ def test_accepts_parsed_predicates():
 # leader election
 
 
-def test_leader_count():
+def test_leader_counterexamples_count_each_leader_state_once():
     p = builtin("leader-pavlovian")
-    assert leader_count(p, (1, 1, 1), ("L1", "L2")) == 2
-    assert leader_count(p, (0, 0, 3), ("L1", "L2")) == 0
+    for leaders in (("L1", "L2"), ("L1", "L2", "L1")):
+        verdict = stable_leader(p, leaders, (2, 3))
+        for result in verdict.failures():
+            cex = result.counterexample
+            assert cex.actual == cex.config[p.index("L1")] + cex.config[p.index("L2")]
+            assert cex.actual != 1
+        assert {r.input_label() for r in verdict.failures()} == {"L1:2", "L2:2"}
+
+
+def test_stable_leader_refuses_a_repeated_initial_state():
+    p = builtin("leader-pavlovian")
+    with pytest.raises(ProtocolError, match="initial state 'L1' is listed twice"):
+        stable_leader(p, ("L1", "L2"), (3,), initial_states=("L1", "N", "L1"))
 
 
 def test_pavlovian_leader_election_small_sizes():
@@ -712,6 +722,12 @@ def test_search_two_states_finds_or():
         structures.append(
             (protocol.rules, protocol.input_map, protocol.output_map))
     assert (or_rules, {"0": 0, "1": 1}, (0, 1)) in structures
+
+
+def test_search_refuses_a_bad_alphabet():
+    for alphabet in (("0", "1", "1"), ("0", "", "1"), ("0", "a b"), ("=",)):
+        with pytest.raises(ProtocolError, match="input symbol"):
+            next(iter_search_pavlovian(2, "n_1 >= 1", (2, 3), alphabet=alphabet))
 
 
 def test_search_one_state_finds_nothing_nonconstant():
