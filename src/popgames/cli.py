@@ -28,7 +28,6 @@ from .core import (
     is_symmetric,
 )
 from .formats import (
-    FormatError,
     parse_game,
     parse_graph_file,
     parse_protocol,
@@ -45,11 +44,10 @@ from .pavcheck import (
     format_certificate,
     format_var,
 )
-from .sim import InteractionGraph, StatsReport, monte_carlo
+from .sim import DEFAULT_MAX_STEPS, InteractionGraph, StatsReport, monte_carlo
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    PredicateError,
     Verdict,
     iter_search_pavlovian,
     stable_leader,
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="population for all-<state>")
     p.add_argument("--graph", default="complete", help="complete, ring, or file:<path>")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--stop", default="silent", help="silent, none, or window:<w>")
     p.add_argument("--csv", help="write per-trial rows to this path")
@@ -468,10 +466,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, PredicateError, ProtocolError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # FormatError, PredicateError and ProtocolError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

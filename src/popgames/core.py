@@ -133,13 +133,17 @@ def make_protocol(
 
     Repeated rules for one ordered pair accumulate into a successor set.
     The rule table is identity-completed; `inputs` and `outputs` are
-    attached and checked by `attach_io`.
+    attached and checked by `attach_io`.  The name and the state names must
+    pass `check_name`, so that `print_protocol` writes text that parses back.
     """
     state_tab = tuple(states)
     if len(set(state_tab)) != len(state_tab):
         raise ProtocolError(f"duplicate state names in {state_tab}")
     if not state_tab:
         raise ProtocolError("a protocol needs at least one state")
+    check_name(name, "protocol name", bindable=False)
+    for state in state_tab:
+        check_name(state, "state name")
     idx = {s: i for i, s in enumerate(state_tab)}
 
     def lookup(s: str) -> int:
@@ -154,17 +158,27 @@ def make_protocol(
     return attach_io(bare, inputs, outputs)
 
 
+def check_name(name: str, what: str, bindable: bool = True) -> None:
+    """Refuse a name that a protocol or game file cannot hold: it must be a
+    non-empty token with no whitespace or `#`, and with no `=` either when it
+    can stand in an `inputs` or `outputs` binding (`bindable`), as input
+    symbols, states and strategies can."""
+    if (
+        not isinstance(name, str)
+        or name.split() != [name]
+        or "#" in name
+        or (bindable and "=" in name)
+    ):
+        banned = "whitespace, '=' or '#'" if bindable else "whitespace or '#'"
+        raise ProtocolError(f"{what} {name!r} must be a non-empty token without {banned}")
+
+
 def input_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
-    """The symbols as a tuple, once each checked to be a token that a
-    protocol file can hold (non-empty, with no whitespace, `=` or `#`) and
-    not repeated."""
+    """The symbols as a tuple, once each checked by `check_name` and not
+    repeated."""
     alphabet = tuple(symbols)
     for i, sym in enumerate(alphabet):
-        if not isinstance(sym, str) or sym.split() != [sym] or "=" in sym or "#" in sym:
-            raise ProtocolError(
-                f"input symbol {sym!r} must be a non-empty token "
-                "without whitespace, '=' or '#'"
-            )
+        check_name(sym, "input symbol")
         if sym in alphabet[:i]:
             raise ProtocolError(f"duplicate input symbol {sym!r}")
     return alphabet

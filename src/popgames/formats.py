@@ -77,10 +77,6 @@ def parse_rational(token: str, lineno: int = 1, column: int = 1) -> Fraction:
         raise FormatError(f"not a rational number: {token!r}", lineno, column) from None
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # protocol files
 
@@ -264,9 +260,8 @@ def parse_game(text: str) -> Game:
 def print_game(game: Game) -> str:
     lines = [f"game {game.name}", "strategies " + " ".join(game.strategies)]
     for i, strategy in enumerate(game.strategies):
-        entries = " ".join(format_rational(v) for v in game.payoff[i])
-        lines.append(f"row {strategy}: {entries}")
-    lines.append(f"threshold {format_rational(game.threshold)}")
+        lines.append(f"row {strategy}: " + " ".join(map(str, game.payoff[i])))
+    lines.append(f"threshold {game.threshold}")
     return "\n".join(lines) + "\n"
 
 

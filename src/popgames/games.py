@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import Pair, Protocol, ProtocolError
+from .core import Pair, Protocol, ProtocolError, check_name
 
 ALL_TIES = "all-ties"
 LOWEST_INDEX = "lowest-index"
@@ -43,9 +43,15 @@ def make_game(
     payoff: Iterable[Iterable[Rational]],
     threshold: Rational,
 ) -> Game:
+    """A game whose payoffs and threshold are converted to Fractions.  The
+    name and the strategy names must pass `core.check_name`, so that
+    `print_game` writes text that parses back."""
     strats = tuple(strategies)
     if len(set(strats)) != len(strats) or not strats:
         raise ProtocolError(f"strategy names must be non-empty and unique: {strats}")
+    check_name(name, "game name", bindable=False)
+    for strategy in strats:
+        check_name(strategy, "strategy name")
     rows = tuple(tuple(Fraction(x) for x in row) for row in payoff)
     if len(rows) != len(strats) or any(len(r) != len(strats) for r in rows):
         raise ProtocolError(
@@ -116,38 +122,27 @@ def derive_protocol(game: Game, mode: str = ALL_TIES) -> Protocol:
     return Protocol(name=f"{game.name}-protocol", states=game.strategies, rules=rules)
 
 
-@dataclass(frozen=True)
-class PrisonerParams:
-    """Prisoner's dilemma payoffs: temptation, reward, punishment, sucker."""
-
-    t: Fraction
-    r: Fraction
-    p: Fraction
-    s: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", Fraction(self.t))
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "s", Fraction(self.s))
-        if not (self.t > self.r > self.p > self.s):
-            raise ProtocolError(f"need T > R > P > S, got {self}")
-        if not (2 * self.r > self.t + self.s):
-            raise ProtocolError(f"need 2R > T + S, got {self}")
-
-
-def prisoners_dilemma(params: PrisonerParams, threshold: Rational | None = None) -> Game:
-    """The symmetric game with matrix [[R, S], [T, P]] over strategies C, D.
+def prisoners_dilemma(
+    T: Rational = 5,
+    R: Rational = 3,
+    P: Rational = 1,
+    S: Rational = 0,
+    threshold: Rational | None = None,
+) -> Game:
+    """The symmetric game with matrix [[R, S], [T, P]] over strategies C, D,
+    from payoffs temptation T > reward R > punishment P > sucker S with
+    2R > T + S.
 
     The default threshold is the midpoint of P and R: any threshold in
     (P, R] makes mutual cooperation a win and mutual defection a loss,
     which is the win-stay/lose-shift reading of the payoffs.
     """
+    t, r, p, s = (Fraction(x) for x in (T, R, P, S))
+    got = f"got T={t}, R={r}, P={p}, S={s}"
+    if not (t > r > p > s):
+        raise ProtocolError(f"need T > R > P > S, {got}")
+    if not (2 * r > t + s):
+        raise ProtocolError(f"need 2R > T + S, {got}")
     if threshold is None:
-        threshold = Fraction(params.p + params.r, 2)
-    return make_game(
-        "prisoners-dilemma",
-        ("C", "D"),
-        ((params.r, params.s), (params.t, params.p)),
-        threshold,
-    )
+        threshold = (p + r) / 2
+    return make_game("prisoners-dilemma", ("C", "D"), ((r, s), (t, p)), threshold)

@@ -9,7 +9,7 @@ states, not configuration outputs).
 from __future__ import annotations
 
 from .core import Protocol, ProtocolError, complete, is_deterministic, make_protocol
-from .games import Game, PrisonerParams, make_game, prisoners_dilemma
+from .games import Game, make_game, prisoners_dilemma
 
 LEADERS: dict[str, tuple[str, ...]] = {
     "leader-classic": ("L",),
@@ -17,34 +17,24 @@ LEADERS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _or_protocol() -> Protocol:
+def _bit_protocol(name: str, rules: list[tuple[str, str, str, str]]) -> Protocol:
+    """A protocol over states 0 and 1 in which input i starts in state i and
+    state i outputs i."""
     return make_protocol(
-        "or",
-        ("0", "1"),
-        [("0", "1", "1", "1"), ("1", "0", "1", "1")],
-        inputs={"0": "0", "1": "1"},
-        outputs={"0": 0, "1": 1},
+        name, ("0", "1"), rules, inputs={"0": "0", "1": "1"}, outputs={"0": 0, "1": 1}
     )
+
+
+def _or_protocol() -> Protocol:
+    return _bit_protocol("or", [("0", "1", "1", "1"), ("1", "0", "1", "1")])
 
 
 def _and_protocol() -> Protocol:
-    return make_protocol(
-        "and",
-        ("0", "1"),
-        [("0", "1", "0", "0"), ("1", "0", "0", "0")],
-        inputs={"0": "0", "1": "1"},
-        outputs={"0": 0, "1": 1},
-    )
+    return _bit_protocol("and", [("0", "1", "0", "0"), ("1", "0", "0", "0")])
 
 
 def _weak_xor_protocol() -> Protocol:
-    return make_protocol(
-        "weak-xor",
-        ("0", "1"),
-        [("1", "1", "0", "0")],
-        inputs={"0": "0", "1": "1"},
-        outputs={"0": 0, "1": 1},
-    )
+    return _bit_protocol("weak-xor", [("1", "1", "0", "0")])
 
 
 def _leader_classic_protocol() -> Protocol:
@@ -112,10 +102,6 @@ def _majority_game() -> Game:
     )
 
 
-def _pd_game(T=5, R=3, P=1, S=0, threshold=None) -> Game:
-    return prisoners_dilemma(PrisonerParams(t=T, r=R, p=P, s=S), threshold=threshold)
-
-
 _FACTORIES = {
     "or": _or_protocol,
     "and": _and_protocol,
@@ -124,7 +110,7 @@ _FACTORIES = {
     "leader-pavlovian": _leader_pavlovian_protocol,
     "majority": _majority_protocol,
     "pavlov-pd": _pavlov_pd_protocol,
-    "pd": _pd_game,
+    "pd": prisoners_dilemma,
     "leader-game": _leader_game,
     "majority-game": _majority_game,
 }

@@ -8,6 +8,10 @@ strict-cycle detection on the comparison graph, and a satisfying integer
 assignment falls out of ranking the strongly connected components.  An
 unsatisfiable system yields an explicit cycle of comparisons containing a
 strict one, which doubles as a human-readable impossibility certificate.
+
+Variables have one order, `_var_key`'s: the threshold first, then the matrix
+row by row.  A system lists its variables, numbers them, solves them and
+reports its answers in that order.
 """
 
 from __future__ import annotations
@@ -53,33 +57,23 @@ def _var_key(var: Var) -> tuple[int, str, int, int]:
 
 
 @lru_cache(maxsize=8)
-def _ranking(variables: tuple[Var, ...]) -> tuple[tuple[Var, ...], dict[Var, int]]:
-    """The variables sorted by `_var_key`, and each one's rank, which is its
-    id in a system.  Cached: every system of one state count declares the
-    same variables.  Read-only."""
-    ranked = tuple(sorted(variables, key=_var_key))
-    return ranked, {v: r for r, v in enumerate(ranked)}
-
-
-@lru_cache(maxsize=8)
-def _matrix_variables(n: int) -> tuple[tuple[Var, ...], tuple[Var, ...]]:
-    """An n-state system's variables as declared (the matrix row by row, then
-    the threshold) and in rank order: DELTA has id 0, M[i][j] has 1 + i·n + j."""
-    entries = tuple(mat(i, j) for i in range(n) for j in range(n))
-    return entries + (DELTA,), (DELTA,) + entries
+def _matrix_variables(n: int) -> tuple[Var, ...]:
+    """An n-state system's variables in id order: DELTA has id 0, M[i][j]
+    has 1 + i·n + j."""
+    return (DELTA,) + tuple(mat(i, j) for i in range(n) for j in range(n))
 
 
 class ConstraintSystem:
     """Order comparisons between declared variables: (u, v) in `nonstrict`
     means u <= v, in `strict` u < v.
 
-    Each comparison is stored once, as a pair of variable ids.  A variable's
-    id is its rank in `_var_key` order, `ranked[id]`.  The comparisons come
-    in `blocks`, pairs (le, lt) of id-pair sets for <= and <, and no two
-    blocks share a variable but id 0; a system built here is one block.
-    `nonstrict` and `strict` are all blocks' comparisons as pairs of
-    variables, built on first access.  A comparison naming an undeclared
-    variable is refused.
+    `variables` lists the declared variables in `_var_key` order, and a
+    variable's id is its place there.  Each comparison is stored once, as a
+    pair of ids.  The comparisons come in `blocks`, pairs (le, lt) of id-pair
+    sets for <= and <, and no two blocks share a variable but id 0; a system
+    built here is one block.  `nonstrict` and `strict` are all blocks'
+    comparisons as pairs of variables, built on first access.  A comparison
+    naming an undeclared variable is refused.
     """
 
     def __init__(
@@ -88,8 +82,8 @@ class ConstraintSystem:
         nonstrict: Iterable[Edge] = (),
         strict: Iterable[Edge] = (),
     ) -> None:
-        self.variables = tuple(variables)
-        self.ranked, order = _ranking(self.variables)
+        self.variables = tuple(sorted(variables, key=_var_key))
+        order = {v: i for i, v in enumerate(self.variables)}
         try:
             le = frozenset((order[u], order[v]) for u, v in nonstrict)
             lt = frozenset((order[u], order[v]) for u, v in strict)
@@ -101,23 +95,23 @@ class ConstraintSystem:
 
     @classmethod
     def _numbered(
-        cls, variables: tuple[Var, ...], ranked: tuple[Var, ...], blocks: tuple[Block, ...]
+        cls, variables: tuple[Var, ...], blocks: tuple[Block, ...]
     ) -> ConstraintSystem:
         """A system from blocks of comparisons that are already id pairs over
-        `ranked` and share no id but 0."""
+        `variables` and share no id but 0."""
         system = cls.__new__(cls)
-        system.variables, system.ranked, system.blocks = variables, ranked, blocks
+        system.variables, system.blocks = variables, blocks
         return system
 
     @cached_property
     def nonstrict(self) -> frozenset[Edge]:
-        ranked = self.ranked
-        return frozenset((ranked[u], ranked[v]) for le, _ in self.blocks for u, v in le)
+        var = self.variables
+        return frozenset((var[u], var[v]) for le, _ in self.blocks for u, v in le)
 
     @cached_property
     def strict(self) -> frozenset[Edge]:
-        ranked = self.ranked
-        return frozenset((ranked[u], ranked[v]) for _, lt in self.blocks for u, v in lt)
+        var = self.variables
+        return frozenset((var[u], var[v]) for _, lt in self.blocks for u, v in lt)
 
     def satisfied_by(self, assignment: dict[Var, object]) -> bool:
         """Check a concrete assignment against every recorded comparison."""
@@ -205,8 +199,7 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
         _column_constraints(n, q2, tuple([firsts[(q1, q2)] for q1 in range(n)]), mode)
         for q2 in range(n)
     ]
-    variables, ranked = _matrix_variables(n)
-    return ConstraintSystem._numbered(variables, ranked, tuple(columns))
+    return ConstraintSystem._numbered(_matrix_variables(n), tuple(columns))
 
 
 @lru_cache(maxsize=1024)
@@ -254,7 +247,7 @@ def solve_order_constraints(
     equal values; a strict edge inside one is the impossibility.  Otherwise
     components are ranked along longest paths in the condensation, strict
     edges forcing a rank increase, which yields values bounded by the number
-    of variables.  Ids follow `_var_key` rank, so arcs are taken in that
+    of variables.  Ids follow `_var_key` order, so arcs are taken in that
     order and the certificate closes the least strict edge in it.
 
     Each block is solved by itself (`_solve_block`), once per distinct
@@ -270,20 +263,17 @@ def solve_order_constraints(
     refusals = [s.refusal for s in solved if s.refusal is not None]
     if refusals:
         _, cycle, strict_steps = min(refusals)
-        ranked = system.ranked
-        return UnsatCertificate(
-            cycle=tuple([ranked[x] for x in cycle]), strict_steps=strict_steps
-        )
+        var = system.variables
+        return UnsatCertificate(cycle=tuple([var[x] for x in cycle]), strict_steps=strict_steps)
 
     top = max([s.into_d for s in solved])
     # id 0 ranks R and ids that no block names rank 0 (a system without
     # variables reads none of this list)
-    rank = [top] + [0] * (len(system.ranked) - 1)
+    rank = [top] + [0] * (len(system.variables) - 1)
     for s in solved:
         for x, a, d in s.ranks:
             rank[x] = a if d < 0 else max(a, top + d)
-    order = _ranking(system.variables)[1]
-    return {var: rank[order[var]] for var in system.variables}
+    return dict(zip(system.variables, rank))
 
 
 class _BlockSolution(NamedTuple):

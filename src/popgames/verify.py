@@ -28,7 +28,6 @@ from .core import (
     Config,
     Protocol,
     ProtocolError,
-    complete,
     config_to_dict,
     input_symbols,
     output_of_config,
@@ -274,20 +273,19 @@ class _Parser:
             kind, val, _ = self.peek()
             if not (kind == "op" and val in ("+", "-")):
                 break
-        return LinearForm(
-            coeffs=tuple(sorted((s, c) for s, c in coeffs.items() if c != 0)),
-            constant=constant,
-        )
+        return _linear_form(coeffs, constant)
+
+
+def _linear_form(coeffs: Mapping[str, int], constant: int) -> LinearForm:
+    """The form with `coeffs`' nonzero coefficients, sorted by symbol."""
+    return LinearForm(tuple(sorted((s, c) for s, c in coeffs.items() if c != 0)), constant)
 
 
 def _lin_sub(a: LinearForm, b: LinearForm) -> LinearForm:
     coeffs = dict(a.coeffs)
     for s, c in b.coeffs:
         coeffs[s] = coeffs.get(s, 0) - c
-    return LinearForm(
-        coeffs=tuple(sorted((s, c) for s, c in coeffs.items() if c != 0)),
-        constant=a.constant - b.constant,
-    )
+    return _linear_form(coeffs, a.constant - b.constant)
 
 
 def parse_predicate(text: str) -> PredicateExpr:
@@ -802,13 +800,13 @@ def iter_search_pavlovian(
         for off in itertools.product(
             itertools.product(range(k), repeat=2), repeat=len(off_pairs)
         ):
+            # every ordered pair gets its one successor, so the table is total
             rules = {}
             for q in range(k):
                 rules[(q, q)] = frozenset({(diag[q], diag[q])})
             for (q, r), (a, b) in zip(off_pairs, off):
                 rules[(q, r)] = frozenset({(a, b)})
                 rules[(r, q)] = frozenset({(b, a)})
-            rules = complete(rules, k)
             for iota in itertools.product(range(k), repeat=len(alphabet)):
                 for omega in itertools.product((0, 1), repeat=k):
                     index += 1

@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -539,6 +541,32 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "majority" in proc.stdout
+
+
+def readme_commands():
+    """The `popgames` lines of README's "Command line" block, with `\\`
+    continuations joined, as shell words."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [words for words in lines if words]
+
+
+def test_readme_command_line_block_runs_top_to_bottom(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 12
+    for words in commands:
+        assert words[0] == "popgames", words
+        argv, target = words[1:], None
+        if ">" in argv:
+            at = argv.index(">")
+            argv, target = argv[:at], argv[at + 1]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, words
+        if target is not None:
+            (tmp_path / target).write_text(out, encoding="utf-8")
 
 
 # main() with argv from the command line, then a check that nothing it ran

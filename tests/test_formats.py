@@ -18,7 +18,8 @@ from popgames import (
     print_protocol,
     symmetrize,
 )
-from popgames.formats import format_rational, parse_graph_file, parse_rational
+from popgames.formats import parse_graph_file, parse_rational
+from popgames.sim import InteractionGraph
 
 OR_TEXT = """\
 # boolean disjunction
@@ -194,15 +195,76 @@ def test_parse_rational():
         parse_rational("1/0")
 
 
-def test_format_rational_round_trip():
-    for value in (Fraction(3), Fraction(-1, 3), Fraction(7, 2), Fraction(0)):
-        assert parse_rational(format_rational(value)) == value
+def test_print_game_writes_rationals_with_str():
+    values = (Fraction(3), Fraction(-1, 3), Fraction(7, 2), Fraction(0))
+    game = make_game("g", ["a", "b"], [values[:2], values[2:]], Fraction(5, 4))
+    text = print_game(game)
+    assert "row a: 3 -1/3\nrow b: 7/2 0\nthreshold 5/4\n" in text
+    assert parse_game(text) == game
 
 
 def test_parse_graph_file():
     n, edges = parse_graph_file("# a path\nvertices 3\nedge 0 1\nedge 1 2\n")
     assert n == 3
     assert edges == [(0, 1), (1, 2)]
+
+
+@st.composite
+def graph_drawings(draw):
+    """(vertex_count, edges) with up to 6 vertices.  Most edge lists start
+    simple and in range, and some are then spoilt by a self-loop, a repeated
+    edge (either way round) or an edge past the last vertex; sparse draws
+    are disconnected."""
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for (u, v), k in zip(pairs, kept) if k]
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(0, max(n - 1, 0)))
+        spoilt = [(u, u), (u, n + draw(st.integers(0, 2)))]
+        if edges:
+            a, b = draw(st.sampled_from(edges))
+            spoilt += [(a, b), (b, a)]
+        edges.append(draw(st.sampled_from(spoilt)))
+    return n, draw(st.permutations(edges))
+
+
+def bfs_unreached(n, edges):
+    """The vertices a breadth-first search from 0 does not reach."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return sorted(set(range(n)) - reached)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_drawings(), st.data())
+def test_graph_files_parse_back_and_only_simple_connected_graphs_pass(drawn, data):
+    n, edges = drawn
+    lines = [f"edge {u} {v}" for u, v in edges]
+    lines.insert(data.draw(st.integers(0, len(lines))), f"vertices {n}")
+    noise = st.sampled_from(["", "   ", "# a comment", "  # indented comment"])
+    text = ""
+    for line in lines:
+        text += data.draw(noise) + "\n" + line + data.draw(st.sampled_from(["", " # why"])) + "\n"
+    assert parse_graph_file(text) == (n, list(edges))
+
+    simple = all(u != v for u, v in edges) and len({frozenset(e) for e in edges}) == len(edges)
+    in_range = all(u < n and v < n for u, v in edges)
+    unreached = bfs_unreached(n, edges) if simple and in_range else []
+    try:
+        InteractionGraph(n, tuple(edges))
+    except ProtocolError as refusal:
+        assert not (n >= 2 and simple and in_range and not unreached)
+        if n >= 2 and simple and in_range:
+            assert f"vertex {unreached[0]} cannot be reached from vertex 0" in str(refusal)
+    else:
+        assert n >= 2 and simple and in_range and not unreached
 
 
 def test_parse_graph_file_errors():
@@ -277,7 +339,9 @@ def test_input_symbols_take_every_printable_character_but_two():
 
 @st.composite
 def games(draw):
-    strategies = draw(st.lists(tokens(""), min_size=1, max_size=4, unique=True))
+    """Games of 1 to 4 strategies with drawn names; strategy names hold no
+    `=`, since `derive` makes them state names."""
+    strategies = draw(st.lists(tokens("="), min_size=1, max_size=4, unique=True))
     k = len(strategies)
     # st.fractions draws are about ten times slower than these
     entry = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12))
@@ -291,3 +355,58 @@ def test_game_text_round_trips(game):
     text = print_game(game)
     assert parse_game(text) == game
     assert print_game(parse_game(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# names that no file can hold
+
+
+def test_names_no_file_can_hold_are_refused():
+    with pytest.raises(ProtocolError, match="protocol name 'a b'"):
+        make_protocol("a b", ["x=y", "z"], [], outputs={"x=y": 1, "z": 0})
+    with pytest.raises(ProtocolError, match="state name 'x=y'"):
+        make_protocol("ab", ["x=y", "z"], [], outputs={"x=y": 1, "z": 0})
+    with pytest.raises(ProtocolError, match="game name 'g#1'"):
+        make_game("g#1", ["C D", "E"], [[1, 2], [3, 4]], 2)
+    with pytest.raises(ProtocolError, match="strategy name 'C D'"):
+        make_game("g1", ["C D", "E"], [[1, 2], [3, 4]], 2)
+    # a protocol or game name stands in no binding, so it may hold `=`
+    assert parse_protocol(print_protocol(make_protocol("a=b", ["x"], []))).name == "a=b"
+    # a state holding `=` is refused in a file too, with or without outputs
+    with pytest.raises(FormatError, match="state name 'a=b'"):
+        parse_protocol("protocol p\nstates a=b c\n")
+
+
+def holds_a_token(name, bindable):
+    """A name one token of a file can hold, stated per character."""
+    return (
+        name != ""
+        and not any(c.isspace() or c == "#" for c in name)
+        and not (bindable and "=" in name)
+    )
+
+
+ANY_NAME = st.text(st.characters(exclude_categories=("Cs",)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_NAME, st.lists(ANY_NAME, min_size=1, max_size=3, unique=True))
+def test_make_calls_refuse_or_print_text_that_parses_back(name, names):
+    valid = holds_a_token(name, False) and all(holds_a_token(n, True) for n in names)
+    rules = [(names[0], names[-1], names[-1], names[0])]
+    outputs = {n: i % 2 for i, n in enumerate(names)}
+    try:
+        protocol = make_protocol(name, names, rules, inputs={"i": names[0]}, outputs=outputs)
+    except ProtocolError:
+        assert not valid
+    else:
+        assert valid
+        assert parse_protocol(print_protocol(protocol)) == protocol
+    payoff = [[i + j for j in range(len(names))] for i in range(len(names))]
+    try:
+        game = make_game(name, names, payoff, 1)
+    except ProtocolError:
+        assert not valid
+    else:
+        assert valid
+        assert parse_game(print_game(game)) == game

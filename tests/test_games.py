@@ -11,7 +11,6 @@ from popgames import (
     ALL_TIES,
     LOWEST_INDEX,
     ProtocolError,
-    PrisonerParams,
     builtin,
     check_pavlovian,
     derive_protocol,
@@ -156,20 +155,26 @@ def test_derive_round_trips_through_check():
 
 
 def test_prisoner_params_validation():
-    PrisonerParams(5, 3, 1, 0)
-    with pytest.raises(ProtocolError):
-        PrisonerParams(3, 5, 1, 0)
-    with pytest.raises(ProtocolError):
-        PrisonerParams(10, 6, 1, 3)
+    prisoners_dilemma(5, 3, 1, 0)
+    with pytest.raises(ProtocolError, match=r"need T > R > P > S, got T=3, R=5, P=1, S=0"):
+        prisoners_dilemma(3, 5, 1, 0)
+    with pytest.raises(ProtocolError, match=r"need T > R > P > S"):
+        prisoners_dilemma(10, 6, 1, 3)
+    with pytest.raises(ProtocolError, match=r"need 2R > T \+ S, got T=10, R=5, P=2, S=1"):
+        prisoners_dilemma(10, 5, 2, 1)
 
 
 def test_prisoners_dilemma_game():
-    g = prisoners_dilemma(PrisonerParams(5, 3, 1, 0))
+    g = prisoners_dilemma()
+    assert g == prisoners_dilemma(5, 3, 1, 0) == builtin("pd")
     assert g.strategies == ("C", "D")
     assert g.payoff == ((Fraction(3), Fraction(0)), (Fraction(5), Fraction(1)))
     assert g.threshold == Fraction(2)
-    custom = prisoners_dilemma(PrisonerParams(5, 3, 1, 0), threshold=3)
+    custom = prisoners_dilemma(5, 3, 1, 0, threshold=3)
     assert custom.threshold == Fraction(3)
+    assert custom == builtin("pd", threshold=3)
+    # string and Fraction arguments are converted like make_game's
+    assert prisoners_dilemma("5", "3", "1/2", 0).payoff[1][1] == Fraction(1, 2)
 
 
 def test_pd_default_threshold_separates_win_from_loss():
@@ -181,7 +186,7 @@ def test_pd_default_threshold_separates_win_from_loss():
         t = r + rng.randrange(1, 5)
         if 2 * r <= t + s:
             continue
-        g = prisoners_dilemma(PrisonerParams(t, r, p, s))
+        g = prisoners_dilemma(t, r, p, s)
         assert p < g.threshold <= r
         derived = derive_protocol(g, LOWEST_INDEX)
         assert derived.rules == builtin("pavlov-pd").rules

@@ -355,7 +355,7 @@ def derived_protocols(draw):
 def test_numbered_systems_match_the_definition(protocol, mode):
     k = protocol.state_count
     system = build_constraints(protocol, mode)
-    assert system.ranked == (DELTA,) + tuple(mat(i, j) for i in range(k) for j in range(k))
+    assert system.variables == (DELTA,) + tuple(mat(i, j) for i in range(k) for j in range(k))
     nonstrict, strict = oracles.comparison_system(protocol.rules, k, mode == EXACT)
     assert system.nonstrict == nonstrict
     assert system.strict == strict
@@ -390,7 +390,6 @@ def multi_block_systems(draw):
     direction, which closes strict cycles.  Ties (u <= v and v <= u) and
     isolated variables occur too."""
     k = draw(st.integers(2, 4))
-    variables, ranked = _matrix_variables(k)
     block_count = draw(st.integers(1, 4))
     owner = draw(st.lists(st.integers(-1, block_count - 1), min_size=k * k, max_size=k * k))
     blocks = []
@@ -414,7 +413,7 @@ def multi_block_systems(draw):
                 if kind == 4:
                     le.add((v, u))
         blocks.append((frozenset(le), frozenset(lt)))
-    return ConstraintSystem._numbered(variables, ranked, tuple(blocks))
+    return ConstraintSystem._numbered(_matrix_variables(k), tuple(blocks))
 
 
 @settings(max_examples=600, deadline=None)
@@ -434,12 +433,11 @@ def test_block_composition_takes_the_longest_path_into_the_threshold():
     # Block 1 reaches the threshold over two strict steps (M00 < M01 < delta)
     # and block 2 over one (M11 < delta); block 2's M10 lies one strict step
     # above the threshold, so it ranks 2 + 1.
-    variables, ranked = _matrix_variables(2)
     blocks = (
         (frozenset(), frozenset({(1, 2), (2, 0)})),
         (frozenset({(0, 3)}), frozenset({(4, 0), (0, 3)})),
     )
-    system = ConstraintSystem._numbered(variables, ranked, blocks)
+    system = ConstraintSystem._numbered(_matrix_variables(2), blocks)
     solved = solve_order_constraints(system)
     assert solved == solve_order_constraints(one_block(system))
     assert solved == {mat(0, 0): 0, mat(0, 1): 1, mat(1, 0): 3, mat(1, 1): 0, DELTA: 2}
@@ -447,12 +445,11 @@ def test_block_composition_takes_the_longest_path_into_the_threshold():
 
 def test_block_refusal_closes_the_least_strict_edge_of_all_blocks():
     # both blocks close a strict cycle; the second holds the least edge
-    variables, ranked = _matrix_variables(2)
     blocks = (
         (frozenset({(4, 3)}), frozenset({(3, 4)})),
         (frozenset({(2, 1)}), frozenset({(1, 2)})),
     )
-    system = ConstraintSystem._numbered(variables, ranked, blocks)
+    system = ConstraintSystem._numbered(_matrix_variables(2), blocks)
     found = solve_order_constraints(system)
     assert found == solve_order_constraints(one_block(system))
     assert found.cycle == (mat(0, 0), mat(0, 1), mat(0, 0))
@@ -508,3 +505,35 @@ def test_check_matches_the_one_block_solve_beyond_three_states():
     # every derivation is Pavlovian; most drawn tables are not
     assert 400 <= witnesses < len(cases)
 
+
+
+@st.composite
+def rational_games(draw):
+    """Games of 2 to 4 strategies with small rational payoffs and threshold,
+    so that columns often tie."""
+    k = draw(st.integers(2, 4))
+    value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    payoff = [[draw(value) for _ in range(k)] for _ in range(k)]
+    return make_game("drawn", [f"s{i}" for i in range(k)], payoff, draw(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_games())
+def test_derive_then_check_round_trips(game):
+    # the game itself satisfies both comparison systems, so both checks answer
+    # with a witness, and the exact one's game re-derives the same rules
+    derived = derive_protocol(game, ALL_TIES)
+    found = check_pavlovian(derived, EXACT)
+    assert isinstance(found, Witness)
+    assert derive_protocol(found.to_game(), ALL_TIES).rules == derived.rules
+    lowest = derive_protocol(game, LOWEST_INDEX)
+    found = check_pavlovian(lowest, SUBSET)
+    assert isinstance(found, Witness)
+    assert witness_reproduces(found, lowest, SUBSET)
+
+
+def test_constraint_system_lists_its_variables_in_id_order():
+    system = ConstraintSystem([mat(1, 0), "x", DELTA, mat(0, 1)], [(mat(1, 0), "x")])
+    assert system.variables == (DELTA, mat(0, 1), mat(1, 0), "x")
+    assert system.blocks == ((frozenset({(2, 3)}), frozenset()),)
+    assert solve_order_constraints(system) == {DELTA: 0, mat(0, 1): 0, mat(1, 0): 0, "x": 0}
