@@ -64,7 +64,7 @@ def resolve_budget(args) -> int:
     raw = os.environ.get("POPGAMES_BUDGET", "")
     if not raw:
         return DEFAULT_BUDGET
-    if not raw.isdigit():
+    if not raw.isdecimal():
         raise ProtocolError(
             f"POPGAMES_BUDGET must be a non-negative integer, got {raw!r}"
         )
@@ -82,7 +82,7 @@ def _read(path: str) -> str:
 
 def _parse_sizes(spec: str) -> range:
     lo, sep, hi = spec.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise ProtocolError(f"sizes must look like 2..8, got {spec!r}")
     return range(int(lo), int(hi) + 1)
 
@@ -91,7 +91,7 @@ def _parse_counts(spec: str, what: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for part in spec.split(","):
         key, sep, value = part.partition(":")
-        if not sep or not key or not value.lstrip("-").isdigit():
+        if not sep or not key or not value.removeprefix("-").isdecimal():
             raise ProtocolError(f"{what} must look like a:2,b:1, got {spec!r}")
         counts[key] = counts.get(key, 0) + int(value)
     return counts
@@ -103,7 +103,7 @@ def _parse_stop(spec: str):
     if spec == "none":
         return None
     kind, sep, arg = spec.partition(":")
-    if kind == "window" and sep and arg.isdigit():
+    if kind == "window" and sep and arg.isdecimal():
         return ("window", int(arg))
     raise ProtocolError(f"stop rule must be silent, none, or window:<w>, got {spec!r}")
 

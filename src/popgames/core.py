@@ -10,6 +10,7 @@ configurations for restricted interaction graphs live in :mod:`popgames.sim`.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -243,28 +244,41 @@ def initial_config(protocol: Protocol, input_multiset: Mapping[str, int]) -> Con
     if protocol.input_map is None:
         raise ProtocolError(f"protocol {protocol.name!r} has no input map")
     counts = [0] * protocol.state_count
-    total = 0
     for sym, k in input_multiset.items():
         if sym not in protocol.input_map:
             raise ProtocolError(f"unknown input symbol {sym!r}")
         if k < 0:
             raise ProtocolError(f"negative count for symbol {sym!r}")
         counts[protocol.input_map[sym]] += k
-        total += k
-    if total < 2:
-        raise ProtocolError(f"population must have at least 2 agents, got {total}")
-    return tuple(counts)
+    return _checked_config(protocol, counts)
 
 
 def config_of(protocol: Protocol, state_multiset: Mapping[str, int]) -> Config:
     """Count vector for a multiset given by state name, for direct inits."""
     counts = [0] * protocol.state_count
     for st, k in state_multiset.items():
-        k = int(k)
-        if k < 0:
-            raise ProtocolError(f"negative count for state {st!r}")
-        counts[protocol.index(st)] += k
-    return tuple(counts)
+        counts[protocol.index(st)] = k
+    return _checked_config(protocol, counts)
+
+
+def _checked_config(protocol: Protocol, counts: Sequence) -> Config:
+    """`counts`, one per state, as a configuration of at least 2 agents:
+    each count a Python int (by `operator.index`, so 2.5 is refused rather
+    than truncated) and none negative; else ProtocolError."""
+    try:
+        config = tuple(map(operator.index, counts))
+    except TypeError:
+        raise ProtocolError(f"counts must be integers, got {counts!r}") from None
+    if len(config) != len(protocol.states):
+        raise ProtocolError(
+            f"count vector length {len(config)} != {len(protocol.states)} states"
+        )
+    if min(config) < 0:
+        state = protocol.states[config.index(min(config))]
+        raise ProtocolError(f"negative count for state {state!r}")
+    if sum(config) < 2:
+        raise ProtocolError(f"population must have at least 2 agents, got {sum(config)}")
+    return config
 
 
 def config_to_dict(protocol: Protocol, config: Config) -> dict[str, int]:

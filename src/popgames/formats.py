@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Protocol, ProtocolError, make_protocol
+from .core import Protocol, ProtocolError, attach_io, check_name, make_protocol
 from .games import Game, make_game
 
 
@@ -69,6 +69,14 @@ def _split_binding(token: str, lineno: int, column: int, what: str) -> tuple[str
     return left, right
 
 
+def _check_token(token: str, what: str, lineno: int, column: int) -> None:
+    """`core.check_name` on a name token, refusing it at its place."""
+    try:
+        check_name(token, what)
+    except ProtocolError as exc:
+        raise FormatError(str(exc), lineno, column) from None
+
+
 def parse_rational(token: str, lineno: int = 1, column: int = 1) -> Fraction:
     """Integers, exact decimals, and p/q all go through Fraction unchanged."""
     try:
@@ -87,6 +95,7 @@ def parse_protocol(text: str) -> Protocol:
     # (left, right, (line, column)) per binding, checked once states are known
     input_pairs: list[tuple[str, str, tuple[int, int]]] = []
     output_pairs: list[tuple[str, str, tuple[int, int]]] = []
+    outputs_at: tuple[int, int] | None = None  # the first outputs line
     rules: list[tuple[str, str, str, str]] = []
 
     for lineno, tokens, columns in _logical_lines(text):
@@ -105,8 +114,12 @@ def parse_protocol(text: str) -> Protocol:
             states = tuple(tokens[1:])
             if len(set(states)) != len(states):
                 raise FormatError("duplicate state name", lineno, columns[1])
+            for tok, col in zip(tokens[1:], columns[1:]):
+                _check_token(tok, "state name", lineno, col)
         elif keyword in ("inputs", "outputs"):
             pairs = input_pairs if keyword == "inputs" else output_pairs
+            if keyword == "outputs" and outputs_at is None:
+                outputs_at = (lineno, columns[0])
             what = keyword[:-1] + " binding"
             for tok, col in zip(tokens[1:], columns[1:]):
                 pairs.append((*_split_binding(tok, lineno, col, what), (lineno, col)))
@@ -148,15 +161,15 @@ def parse_protocol(text: str) -> Protocol:
         inputs[symbol] = state
 
     try:
-        return make_protocol(
-            name,
-            states,
-            rules,
-            inputs=inputs or None,
-            outputs=outputs or None,
-        )
+        protocol = make_protocol(name, states, rules, inputs=inputs or None)
     except ProtocolError as exc:
         raise FormatError(str(exc), 1) from exc
+    if not outputs:
+        return protocol
+    try:
+        return attach_io(protocol, outputs=outputs)
+    except ProtocolError as exc:
+        raise FormatError(str(exc), *outputs_at) from exc
 
 
 def print_protocol(protocol: Protocol) -> str:
@@ -212,6 +225,8 @@ def parse_game(text: str) -> Game:
             strategies = tuple(tokens[1:])
             if len(set(strategies)) != len(strategies):
                 raise FormatError("duplicate strategy name", lineno, columns[1])
+            for tok, col in zip(tokens[1:], columns[1:]):
+                _check_token(tok, "strategy name", lineno, col)
         elif keyword == "row":
             if strategies is None:
                 raise FormatError("row before strategies line", lineno, columns[0])
@@ -254,7 +269,10 @@ def parse_game(text: str) -> Game:
     if missing:
         raise FormatError(f"missing row for strategy {missing[0]!r}", 1)
 
-    return make_game(name, strategies, tuple(rows[s] for s in strategies), threshold)
+    try:
+        return make_game(name, strategies, tuple(rows[s] for s in strategies), threshold)
+    except ProtocolError as exc:
+        raise FormatError(str(exc), 1) from exc
 
 
 def print_game(game: Game) -> str:
@@ -278,11 +296,11 @@ def parse_graph_file(text: str) -> tuple[int, list[tuple[int, int]]]:
         if keyword == "vertices":
             if vertex_count is not None:
                 raise FormatError("duplicate vertices line", lineno, columns[0])
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise FormatError("expected: vertices <count>", lineno, columns[0])
             vertex_count = int(tokens[1])
         elif keyword == "edge":
-            if len(tokens) != 3 or not (tokens[1].isdigit() and tokens[2].isdigit()):
+            if len(tokens) != 3 or not (tokens[1].isdecimal() and tokens[2].isdecimal()):
                 raise FormatError("expected: edge <u> <v>", lineno, columns[0])
             edges.append((int(tokens[1]), int(tokens[2])))
         else:

@@ -34,6 +34,7 @@ from .core import (
     Config,
     Protocol,
     ProtocolError,
+    _checked_config,
     config_of,
     histogram,
     output_of_config,
@@ -165,21 +166,6 @@ def _stop_params(
     raise ProtocolError(f"unknown stop rule {stop!r}")
 
 
-def _as_counts(protocol: Protocol, init) -> list[int]:
-    n = protocol.state_count
-    if isinstance(init, Mapping):
-        counts = list(config_of(protocol, init))
-    else:
-        if len(init) != n:
-            raise ProtocolError(f"count vector length {len(init)} != {n} states")
-        counts = [int(c) for c in init]
-    if min(counts) < 0:
-        raise ProtocolError("negative count")
-    if sum(counts) < 2:
-        raise ProtocolError("population must have at least 2 agents")
-    return counts
-
-
 def counts_to_vertex_states(counts: Sequence[int]) -> list[int]:
     """Deterministic spread of a count vector over vertices, in state order."""
     return [q for q, count in enumerate(counts) for _ in range(count)]
@@ -207,23 +193,21 @@ def run(
     )
 
     states = None
-    if graph is not None:
-        if (
-            not isinstance(init, Mapping)
-            and len(init) == graph.vertex_count
-            and all(isinstance(s, str) for s in init)
-        ):
-            states = [protocol.index(s) for s in init]
-            counts = list(histogram(protocol, states))
-        else:
-            counts = _as_counts(protocol, init)
-            if sum(counts) != graph.vertex_count:
-                raise ProtocolError(
-                    f"population {sum(counts)} != {graph.vertex_count} vertices"
-                )
-            states = counts_to_vertex_states(counts)
+    if isinstance(init, Mapping):
+        counts = config_of(protocol, init)
+    elif (
+        graph is not None
+        and len(init) == graph.vertex_count
+        and all(isinstance(s, str) for s in init)
+    ):
+        states = [protocol.index(s) for s in init]
+        counts = histogram(protocol, states)
     else:
-        counts = _as_counts(protocol, init)
+        counts = _checked_config(protocol, init)
+    if graph is not None and states is None:
+        if sum(counts) != graph.vertex_count:
+            raise ProtocolError(f"population {sum(counts)} != {graph.vertex_count} vertices")
+        states = counts_to_vertex_states(counts)
     stop_mode, window, target = _stop_params(protocol, stop, out_bits, sum(counts))
 
     rng = k.seed_state(seed)

@@ -13,11 +13,17 @@ over input-symbol counts:
     pred := pred "||" pred | pred "&&" pred | "!" pred | "(" pred ")" | atom
     atom := lin cmp lin | lin "mod" m "=" r        cmp in < <= = >= >
     lin  := signed integer-weighted sum of n_<symbol> terms and constants
+
+A number is a run of decimal digits and `==` is read as `=`.  The reader cuts
+the text into tokens with one regular expression and parses them by
+recursive descent; it refuses bad text with a PredicateError that gives the
+position of the first token it cannot read.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -28,6 +34,7 @@ from .core import (
     Config,
     Protocol,
     ProtocolError,
+    _checked_config,
     config_to_dict,
     input_symbols,
     output_of_config,
@@ -107,173 +114,125 @@ class Or:
 
 PredicateExpr = Comparison | Congruence | Not | And | Or
 
-_CMP_TOKENS = ("<=", ">=", "==", "<", ">", "=")
+# A run of decimal digits (what `int` reads), a word, an operator, or any other
+# non-space character.  A word may start with a numeric that is not a decimal
+# digit, such as '²', which is then refused as an unknown word.
+_TOKEN = re.compile(
+    r"(?P<num>\d+)|(?P<word>[^\W\d]\w*)|(?P<op>&&|\|\||[<>=]=|[-+*!()<>=])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, position) triples; kinds: num name mod op end."""
+    """(kind, value, position) triples, the last one ("end", "", len(text)).
+
+    An operator is its own kind and value, with "==" read as "="; a count
+    n_<symbol> is kind "name" with the symbol as its value; the other kinds
+    are "num" and "mod".  Unknown words and characters raise PredicateError.
+    """
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "mod":
-                tokens.append(("mod", word, i))
-            elif word.startswith("n_") and len(word) > 2:
-                tokens.append(("name", word[2:], i))
-            else:
+    for match in _TOKEN.finditer(text):
+        kind, value, at = match.lastgroup, match.group(), match.start()
+        if kind == "op":
+            kind = value = "=" if value == "==" else value
+        elif kind == "bad":
+            raise PredicateError(f"unexpected character {value!r}", at)
+        elif value == "mod":
+            kind = "mod"
+        elif kind == "word":
+            if not value.startswith("n_") or value == "n_":
                 raise PredicateError(
-                    f"unknown word {word!r} (counts are written n_<symbol>)", i
+                    f"unknown word {value!r} (counts are written n_<symbol>)", at
                 )
-            i = j
-            continue
-        for two in ("&&", "||"):
-            if text.startswith(two, i):
-                tokens.append(("op", two, i))
-                i += 2
-                break
-        else:
-            for cmp_tok in _CMP_TOKENS:
-                if text.startswith(cmp_tok, i):
-                    tokens.append(("op", "=" if cmp_tok == "==" else cmp_tok, i))
-                    i += len(cmp_tok)
-                    break
-            else:
-                if ch in "+-*!()":
-                    tokens.append(("op", ch, i))
-                    i += 1
-                else:
-                    raise PredicateError(f"unexpected character {ch!r}", i)
+            kind, value = "name", value[2:]
+        tokens.append((kind, value, at))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens of one predicate: `||` binds
+    loosest, then `&&`, then `!`; an atom compares two linear forms or
+    states a congruence."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def accept(self, *kinds: str) -> tuple[str, str, int] | None:
+        """Take the next token if it is of one of `kinds`, else None."""
+        token = self.tokens[self.pos]
+        if token[0] not in kinds:
+            return None
         self.pos += 1
-        return tok
+        return token
 
-    def expect_op(self, value: str) -> None:
-        kind, val, at = self.take()
-        if kind != "op" or val != value:
-            raise PredicateError(f"expected {value!r}, found {val or 'end'!r}", at)
+    def expect(self, what: str, *kinds: str) -> tuple[str, str, int]:
+        """Take the next token, which must be of one of `kinds`; else
+        PredicateError "expected <what>" at the token found."""
+        token = self.accept(*kinds)
+        if token is None:
+            _, value, at = self.tokens[self.pos]
+            raise PredicateError(f"expected {what}, found {value or 'end'!r}", at)
+        return token
 
     def parse(self) -> PredicateExpr:
-        expr = self.or_expr()
-        kind, val, at = self.peek()
+        expr = self.binary("||")
+        kind, value, at = self.tokens[self.pos]
         if kind != "end":
-            raise PredicateError(f"trailing input starting with {val!r}", at)
+            raise PredicateError(f"trailing input starting with {value!r}", at)
         return expr
 
-    def or_expr(self) -> PredicateExpr:
-        left = self.and_expr()
-        while self.peek()[:2] == ("op", "||"):
-            self.take()
-            left = Or(left, self.and_expr())
-        return left
-
-    def and_expr(self) -> PredicateExpr:
-        left = self.unary()
-        while self.peek()[:2] == ("op", "&&"):
-            self.take()
-            left = And(left, self.unary())
+    def binary(self, op: str) -> PredicateExpr:
+        """Operands joined by `op`, grouped to the left: the operands of
+        `||` are `&&` chains, and those of `&&` are unary predicates."""
+        node, operand = (Or, partial(self.binary, "&&")) if op == "||" else (And, self.unary)
+        left = operand()
+        while self.accept(op):
+            left = node(left, operand())
         return left
 
     def unary(self) -> PredicateExpr:
-        kind, val, _ = self.peek()
-        if (kind, val) == ("op", "!"):
-            self.take()
+        if self.accept("!"):
             return Not(self.unary())
-        if (kind, val) == ("op", "("):
-            self.take()
-            inner = self.or_expr()
-            self.expect_op(")")
+        if self.accept("("):
+            inner = self.binary("||")
+            self.expect("')'", ")")
             return inner
-        return self.atom()
-
-    def atom(self) -> PredicateExpr:
         lhs = self.linear()
-        kind, val, at = self.take()
-        if kind == "mod":
-            modulus = self.integer()
-            if modulus < 2:
-                raise PredicateError(f"modulus must be >= 2, got {modulus}", at)
-            self.expect_op("=")
-            residue = self.integer()
-            return Congruence(lhs, modulus, residue % modulus)
-        if kind == "op" and val in ("<", "<=", "=", ">=", ">"):
-            rhs = self.linear()
-            return Comparison(_lin_sub(lhs, rhs), val)
-        raise PredicateError(f"expected a comparison, found {val or 'end'!r}", at)
+        kind, _, at = self.expect("a comparison", "mod", "<", "<=", "=", ">=", ">")
+        if kind != "mod":
+            return Comparison(_lin_sub(lhs, self.linear()), kind)
+        modulus = self.integer()
+        if modulus < 2:
+            raise PredicateError(f"modulus must be >= 2, got {modulus}", at)
+        self.expect("'='", "=")
+        return Congruence(lhs, modulus, self.integer() % modulus)
+
+    def signed(self, what: str, *kinds: str) -> tuple[int, tuple[str, str, int]]:
+        """One optional '+' or '-', then a token of one of `kinds`:
+        (the sign as 1 or -1, the token)."""
+        sign = self.accept("+", "-")
+        return (-1 if sign and sign[0] == "-" else 1), self.expect(what, *kinds)
 
     def integer(self) -> int:
-        sign = 1
-        kind, val, at = self.take()
-        if kind == "op" and val in ("+", "-"):
-            sign = -1 if val == "-" else 1
-            kind, val, at = self.take()
-        if kind != "num":
-            raise PredicateError(f"expected an integer, found {val or 'end'!r}", at)
-        return sign * int(val)
+        sign, (_, digits, _) = self.signed("an integer", "num")
+        return sign * int(digits)
 
     def linear(self) -> LinearForm:
+        """Signed terms c, n_x and c*n_x, joined by '+' and '-'."""
         coeffs: dict[str, int] = {}
         constant = 0
-        sign = 1
-        first = True
         while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.take()
-                sign = -1 if val == "-" else 1
-            elif not first:
-                break
-            kind, val, at = self.take()
-            if kind == "num":
-                weight = sign * int(val)
-                nk, nv, _ = self.peek()
-                if (nk, nv) == ("op", "*"):
-                    self.take()
-                    nk, nv, nat = self.take()
-                    if nk != "name":
-                        raise PredicateError(
-                            f"expected n_<symbol> after '*', found {nv or 'end'!r}", nat
-                        )
-                    coeffs[nv] = coeffs.get(nv, 0) + weight
-                else:
-                    constant += weight
-            elif kind == "name":
-                coeffs[val] = coeffs.get(val, 0) + sign
+            sign, (kind, value, _) = self.signed("a term", "num", "name")
+            if kind == "name":
+                coeffs[value] = coeffs.get(value, 0) + sign
+            elif self.accept("*"):
+                symbol = self.expect("n_<symbol> after '*'", "name")[1]
+                coeffs[symbol] = coeffs.get(symbol, 0) + sign * int(value)
             else:
-                raise PredicateError(f"expected a term, found {val or 'end'!r}", at)
-            sign = 1
-            first = False
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val in ("+", "-")):
-                break
-        return _linear_form(coeffs, constant)
+                constant += sign * int(value)
+            if self.tokens[self.pos][0] not in ("+", "-"):
+                return _linear_form(coeffs, constant)
 
 
 def _linear_form(coeffs: Mapping[str, int], constant: int) -> LinearForm:
@@ -439,9 +398,7 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
     returns the same graph, whatever input and output maps the protocol has.
     """
     global _explored
-    init = tuple(init)
-    if sum(init) < 2:
-        raise ProtocolError("population must have at least 2 agents")
+    init = _checked_config(protocol, init)
     moves = protocol.moves
     memo = _explored
     if memo.moves != moves:

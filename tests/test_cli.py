@@ -282,6 +282,26 @@ def test_simulate_stop_rules(tmp_path, capsys):
     assert "stop rule" in err
 
 
+def test_number_options_refuse_non_decimal_digits(tmp_path, capsys, monkeypatch):
+    # `²` is a digit to `str.isdigit` but not to `int`; each refusal names
+    # the option or variable that held it
+    path = protocol_file(tmp_path, builtin("or"))
+    verify = ("verify", path, "--predicate", "n_1 >= 1")
+    cases = [
+        ((*verify, "--sizes", "2..²"), "sizes must look like 2..8, got '2..²'"),
+        (("simulate", path, "--input", "0:²"), "--input must look like a:2,b:1, got '0:²'"),
+        (("simulate", path, "--input", "0:--3"), "--input must look like a:2,b:1, got '0:--3'"),
+        (("simulate", path, "--init-states", "0:3,1:-1"), "negative count for state '1'"),
+        (("simulate", path, "--input", "0:3", "--stop", "window:²"),
+         "stop rule must be silent, none, or window:<w>, got 'window:²'"),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, *argv)[::2] == (2, f"error: {message}\n")
+    monkeypatch.setenv("POPGAMES_BUDGET", "²")
+    assert run_cli(capsys, *verify, "--sizes", "2..3")[::2] == (
+        2, "error: POPGAMES_BUDGET must be a non-negative integer, got '²'\n")
+
+
 def test_simulate_rejects_zero_trials(tmp_path, capsys):
     path = protocol_file(tmp_path, builtin("or"))
     code, _, err = run_cli(

@@ -15,6 +15,8 @@ from popgames import (
     is_symmetric,
     make_protocol,
     output_of_config,
+    reachable,
+    run,
     successors,
     symmetry_violation,
 )
@@ -220,6 +222,24 @@ def test_attach_io_checks_pairs_once_each():
 def test_config_of_names_a_negative_state():
     with pytest.raises(ProtocolError, match="negative count for state 'Y'"):
         config_of(builtin("majority"), {"N": 3, "Y": -1})
+
+
+def test_count_vectors_are_checked_alike_everywhere():
+    p = builtin("or")
+    refused = [
+        (initial_config, {"0": 2.5, "1": 1}, "counts must be integers"),
+        (config_of, {"0": 2.5, "1": 1}, "counts must be integers"),
+        (run, {"0": 2.5, "1": 1}, "counts must be integers"),
+        (reachable, (3, -1), "negative count for state '1'"),
+        (run, (3, -1), "negative count for state '1'"),
+        (config_of, {"1": 1}, "at least 2 agents, got 1"),
+        (reachable, (1, 0), "at least 2 agents, got 1"),
+        (run, (2, 1, 0), "count vector length 3 != 2 states"),
+    ]
+    for call, init, message in refused:
+        with pytest.raises(ProtocolError, match=message):
+            call(p, init)
+    assert [type(c) for c in reachable(p, (True, 2)).root] == [int, int]
 
 
 def test_rule_accumulation():

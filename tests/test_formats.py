@@ -125,6 +125,8 @@ def test_binding_errors_carry_the_binding_position():
         (head + "inputs 0=a 1=z\n", "unknown state 'z'", 5, 12),
         (head + "inputs 0=a\ninputs 1=b 0=b\n", "duplicate input symbol", 6, 12),
         (head + "outputs a=0 a=1 b=0\n", "duplicate output for state 'a'", 5, 13),
+        # a state no binding names is missed by the first outputs line
+        (head + "  outputs a=0\noutputs\n", "output map misses state 'b'", 5, 3),
     ]
     for text, message, line, column in cases:
         with pytest.raises(FormatError) as err:
@@ -276,6 +278,11 @@ def test_parse_graph_file_errors():
         parse_graph_file("vertices x\n")
     with pytest.raises(FormatError):
         parse_graph_file("vertices 3\nloop 0 1\n")
+    # `²` is a digit to `str.isdigit` but not to `int`
+    for text, line in (("vertices ²\n", 1), ("vertices 3\nedge 0 ²\n", 2)):
+        with pytest.raises(FormatError) as err:
+            parse_graph_file(text)
+        assert (err.value.line, err.value.column) == (line, 1)
 
 
 def test_states_with_odd_tokens_round_trip():
@@ -375,6 +382,13 @@ def test_names_no_file_can_hold_are_refused():
     # a state holding `=` is refused in a file too, with or without outputs
     with pytest.raises(FormatError, match="state name 'a=b'"):
         parse_protocol("protocol p\nstates a=b c\n")
+    # a state or strategy holding `=` is refused at its token
+    with pytest.raises(FormatError, match="state name 'b=c'") as err:
+        parse_protocol("protocol p\nstates a b=c\n")
+    assert (err.value.line, err.value.column) == (2, 10)
+    with pytest.raises(FormatError, match="strategy name 'D=E'") as err:
+        parse_game("game g\nstrategies C D=E\nrow C: 1 2\nrow D=E: 3 4\nthreshold 1\n")
+    assert (err.value.line, err.value.column) == (2, 14)
 
 
 def holds_a_token(name, bindable):

@@ -130,6 +130,129 @@ def test_parse_errors_carry_positions(text, position):
     assert f"position {position}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("n_1 >= ²", 7), ("n_1 >= 1²", 8), ("n_1 mod ² = 1", 8), ("½ * n_1 > 0", 0)],
+)
+def test_non_decimal_numerics_are_refused_with_a_position(text, position):
+    # `²` and `½` are numerics but not decimal digits, which `int` refuses
+    with pytest.raises(PredicateError) as err:
+        parse_predicate(text)
+    assert err.value.position == position
+
+
+# Predicate trees as tuples, rendered as text and evaluated here, apart from
+# the package: ("cmp", lin, op, lin), ("mod", lin, modulus, residue, eq),
+# ("not", t), ("par", t), and (op, t, t) for && and ||.  A linear form is a
+# list of terms (sign, kind, c, symbol), kind "c", "n" (n_symbol) or "c*n".
+SYMBOLS = ("0", "1", "a", "x_2")
+SIGNED = st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 9))
+LINEAR = st.lists(
+    st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["c", "n", "c*n"]),
+        st.integers(0, 12),
+        st.sampled_from(SYMBOLS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+ATOMS = st.one_of(
+    st.tuples(st.just("cmp"), LINEAR, st.sampled_from(["<", "<=", "=", "==", ">=", ">"]), LINEAR),
+    st.tuples(st.just("mod"), LINEAR, SIGNED, SIGNED, st.sampled_from(["=", "=="])),
+)
+TREES = st.recursive(
+    ATOMS,
+    lambda tree: st.one_of(
+        st.tuples(st.sampled_from(["not", "par"]), tree),
+        st.tuples(st.sampled_from(["&&", "||"]), tree, tree),
+    ),
+    max_leaves=6,
+)
+
+
+def _signed(sign, digits):
+    return -digits if sign == "-" else digits
+
+
+def _linear_value(terms, counts):
+    total = 0
+    for sign, kind, c, x in terms:
+        count = counts.get(x, 0)
+        total += _signed(sign, {"c": c, "n": count, "c*n": c * count}[kind])
+    return total
+
+
+def _holds(tree, counts):
+    tag = tree[0]
+    if tag == "cmp":
+        d = _linear_value(tree[1], counts) - _linear_value(tree[3], counts)
+        return {"<": d < 0, "<=": d <= 0, "=": d == 0, "==": d == 0,
+                ">=": d >= 0, ">": d > 0}[tree[2]]
+    if tag == "mod":
+        modulus, residue = _signed(*tree[2]), _signed(*tree[3])
+        return _linear_value(tree[1], counts) % modulus == residue % modulus
+    if tag == "not":
+        return not _holds(tree[1], counts)
+    if tag == "par":
+        return _holds(tree[1], counts)
+    left, right = _holds(tree[1], counts), _holds(tree[2], counts)
+    return left and right if tag == "&&" else left or right
+
+
+def _moduli(tree):
+    if tree[0] == "mod":
+        return [_signed(*tree[2])]
+    if tree[0] == "cmp":
+        return []
+    return [m for child in tree[1:] for m in _moduli(child)]
+
+
+def _render(tree, space):
+    """The text of `tree`, with `space()` around each token.  A child is put
+    in parentheses only where precedence needs them: an || under && or !,
+    and an && under !."""
+    def lin(terms):
+        return "".join(
+            (sign or ("+" if i else "")) + space()
+            + {"c": f"{c}", "n": f"n_{x}", "c*n": f"{c}{space()}*{space()}n_{x}"}[kind]
+            + space()
+            for i, (sign, kind, c, x) in enumerate(terms)
+        )
+
+    def child(sub, wrapped):
+        text = _render(sub, space)
+        return f"({space()}{text}{space()})" if sub[0] in wrapped else text
+
+    tag = tree[0]
+    if tag == "cmp":
+        return lin(tree[1]) + tree[2] + space() + lin(tree[3])
+    if tag == "mod":
+        (msign, m), (rsign, r) = tree[2], tree[3]
+        return f"{lin(tree[1])} mod {msign}{m}{space()}{tree[4]}{space()}{rsign}{r}"
+    if tag == "not":
+        return "!" + space() + child(tree[1], ("&&", "||"))
+    if tag == "par":
+        return f"({space()}{_render(tree[1], space)}{space()})"
+    wrapped = ("||",) if tag == "&&" else ()
+    return child(tree[1], wrapped) + space() + tag + space() + child(tree[2], wrapped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES, st.lists(st.dictionaries(st.sampled_from(SYMBOLS), st.integers(0, 30)),
+                       min_size=1, max_size=4), st.data())
+def test_drawn_predicates_read_as_drawn(tree, counts_list, data):
+    spaces = st.sampled_from(["", " ", "  ", "\t", "\n"])
+    text = _render(tree, lambda: data.draw(spaces))
+    if any(m < 2 for m in _moduli(tree)):
+        with pytest.raises(PredicateError, match="modulus must be >= 2"):
+            parse_predicate(text)
+        return
+    expr = parse_predicate(text)
+    for counts in counts_list:
+        assert eval_predicate(expr, counts) == _holds(tree, counts), (text, counts)
+
+
 def test_predicate_symbols():
     expr = parse_predicate("n_1 >= 1 && !(n_0 + 2*n_2 > 3)")
     assert predicate_symbols(expr) == {"0", "1", "2"}
