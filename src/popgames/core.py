@@ -247,6 +247,10 @@ def initial_config(protocol: Protocol, input_multiset: Mapping[str, int]) -> Con
     for sym, k in input_multiset.items():
         if sym not in protocol.input_map:
             raise ProtocolError(f"unknown input symbol {sym!r}")
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ProtocolError(f"counts must be integers, got {k!r} for symbol {sym!r}") from None
         if k < 0:
             raise ProtocolError(f"negative count for symbol {sym!r}")
         counts[protocol.input_map[sym]] += k

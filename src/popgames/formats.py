@@ -287,6 +287,14 @@ def print_game(game: Game) -> str:
 # graph files
 
 
+def _decimal(token: str, lineno: int, column: int) -> int:
+    """A run of decimal digits as an int; FormatError at it when it is longer than `int` reads."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"number of {len(token)} digits is too long", lineno, column) from None
+
+
 def parse_graph_file(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Returns (vertex_count, edges); validation is the InteractionGraph's job."""
     vertex_count: int | None = None
@@ -298,11 +306,12 @@ def parse_graph_file(text: str) -> tuple[int, list[tuple[int, int]]]:
                 raise FormatError("duplicate vertices line", lineno, columns[0])
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise FormatError("expected: vertices <count>", lineno, columns[0])
-            vertex_count = int(tokens[1])
+            vertex_count = _decimal(tokens[1], lineno, columns[1])
         elif keyword == "edge":
             if len(tokens) != 3 or not (tokens[1].isdecimal() and tokens[2].isdecimal()):
                 raise FormatError("expected: edge <u> <v>", lineno, columns[0])
-            edges.append((int(tokens[1]), int(tokens[2])))
+            u, v = (_decimal(t, lineno, c) for t, c in zip(tokens[1:], columns[1:]))
+            edges.append((u, v))
         else:
             raise FormatError(f"unknown keyword {keyword!r}", lineno, columns[0])
     if vertex_count is None:

@@ -25,6 +25,7 @@ RunResult, whichever kernel backend is active.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -156,9 +157,13 @@ def _stop_params(
             raise ProtocolError("window stop rule needs a total output map")
         return k.STOP_WINDOW, window, target
     if isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
-        for state, count in stop[1].items():
-            target[protocol.index(state)] = int(count)
-        if min(target) < 0 or sum(target) != population:
+        try:
+            for state, count in stop[1].items():
+                target[protocol.index(state)] = operator.index(count)
+            valid = min(target) >= 0 and sum(target) == population
+        except TypeError:  # a count that is not an integer, such as 2.5
+            valid = False
+        if not valid:
             raise ProtocolError(
                 f"target {dict(stop[1])!r} is not a configuration of {population} agents"
             )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -127,7 +128,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
     An operator is its own kind and value, with "==" read as "="; a count
     n_<symbol> is kind "name" with the symbol as its value; the other kinds
-    are "num" and "mod".  Unknown words and characters raise PredicateError.
+    are "num" and "mod".  Unknown words and characters, and numbers with more
+    digits than `int` reads, raise PredicateError.
     """
     tokens = []
     for match in _TOKEN.finditer(text):
@@ -136,6 +138,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             kind = value = "=" if value == "==" else value
         elif kind == "bad":
             raise PredicateError(f"unexpected character {value!r}", at)
+        elif kind == "num" and 0 < sys.get_int_max_str_digits() < len(value):
+            raise PredicateError(f"number of {len(value)} digits is too long", at)
         elif value == "mod":
             kind = "mod"
         elif kind == "word":
@@ -289,13 +293,12 @@ def _eval(expr: PredicateExpr, counts: Mapping[str, int]) -> bool:
 
 @dataclass(frozen=True)
 class ConfigGraph:
-    """A successor-closed set of configurations numbered 0..n-1, as a
-    read-only value.
+    """The configurations reachable from one root, numbered 0..n-1 in BFS
+    order, as a read-only value.
 
-    `succ[i]` lists the ids of the successors of `configs[i]`, sorted by
-    configuration.  A graph explored from one configuration has that root as
-    id 0 and its BFS tree in `parent` (-1 at the root); an unrooted graph has
-    an empty `parent`.  Fields cannot be reassigned and hold tuples, so one
+    The root is id 0.  `succ[i]` lists the ids of the successors of
+    `configs[i]`, sorted by configuration, and `parent` holds the BFS tree
+    (-1 at the root).  Fields cannot be reassigned and hold tuples, so one
     graph may be handed to many callers: `reachable` returns the same graph
     again for the same dynamics and start.  The `nodes` view and the bottom
     SCCs are computed once, on first use.
@@ -306,8 +309,8 @@ class ConfigGraph:
     parent: tuple[int, ...]
 
     @property
-    def root(self) -> tuple | None:
-        return self.configs[0] if self.parent else None
+    def root(self) -> tuple:
+        return self.configs[0]
 
     @cached_property
     def nodes(self) -> Mapping[tuple, tuple[tuple, ...]]:
@@ -347,8 +350,6 @@ class ConfigGraph:
 
     def path_to(self, node: tuple) -> tuple[tuple, ...]:
         """The BFS-tree path from the root to `node`."""
-        if not self.parent:
-            raise ProtocolError(f"graph has no root: no path to {node}")
         try:
             i = self.configs.index(tuple(node))
         except ValueError:
@@ -384,13 +385,11 @@ _explored = _Explored(None)
 _explored_lock = threading.Lock()
 
 
-def _budget_exceeded(budget: int) -> BudgetExceeded:
-    return BudgetExceeded(f"reachable set exceeds {budget} configurations", budget)
-
-
 def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
     """Breadth-first closure of one initial configuration under single
-    interactions; BudgetExceeded when it has more than `budget` configurations.
+    interactions, each configuration numbered as it is first reached;
+    BudgetExceeded when it has more than `budget` configurations, the root
+    included.
 
     The graph depends only on the move table and the start, so the graphs of
     the last move table explored are kept (at most EXPLORED_CAP
@@ -404,82 +403,29 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
     if memo.moves != moves:
         memo = _explored = _Explored(moves)
     graph = memo.graphs.get(init)
-    if graph is not None:
-        if len(graph.configs) > budget:
-            raise _budget_exceeded(budget)
-        return graph
-
-    graph = ConfigGraph(*_explore((init,), partial(successors, protocol), budget))
-    with _explored_lock:
-        if memo.held + len(graph.configs) <= EXPLORED_CAP:
-            memo.held += len(graph.configs)
-            memo.graphs[init] = graph
+    if graph is None:
+        configs, ids, parent, succ = [init], {init: 0}, [-1], []
+        for i, node in enumerate(configs):  # visits the configurations appended below
+            if len(configs) > budget:  # so each one is counted before the next is explored
+                break
+            out = []
+            for nxt in sorted(successors(protocol, node)):
+                j = ids.get(nxt)
+                if j is None:
+                    j = ids[nxt] = len(configs)
+                    configs.append(nxt)
+                    parent.append(i)
+                out.append(j)
+            succ.append(tuple(out))
+        else:
+            graph = ConfigGraph(tuple(configs), tuple(succ), tuple(parent))
+            with _explored_lock:
+                if memo.held + len(configs) <= EXPLORED_CAP:
+                    memo.held += len(configs)
+                    memo.graphs[init] = graph
+    if graph is None or len(graph.configs) > budget:
+        raise BudgetExceeded(f"reachable set exceeds {budget} configurations", budget)
     return graph
-
-
-def _explore(
-    roots: Iterable[Config],
-    successors_of: Callable[[Config], Iterable[Config]],
-    budget: int,
-) -> tuple[tuple[Config, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Breadth-first closure of the distinct `roots` under `successors_of`:
-    the roots take ids 0.. in order, then each configuration is numbered as
-    it is first reached, with each successor list sorted by configuration.
-    Returns (configs, succ, BFS parents, -1 at every root); BudgetExceeded as
-    soon as there are more than `budget` configurations, the roots included,
-    so the roots are listed only that far."""
-    configs = []
-    ids = {}
-    for root in roots:
-        if len(configs) >= budget:
-            raise _budget_exceeded(budget)
-        ids[root] = len(configs)
-        configs.append(root)
-    parent = [-1] * len(configs)
-    succ = []
-    for i, node in enumerate(configs):  # visits the configurations appended below
-        out = []
-        for nxt in sorted(successors_of(node)):
-            j = ids.get(nxt)
-            if j is None:
-                j = len(configs)
-                if j >= budget:
-                    raise _budget_exceeded(budget)
-                ids[nxt] = j
-                configs.append(nxt)
-                parent.append(i)
-            out.append(j)
-        succ.append(tuple(out))
-    return tuple(configs), tuple(succ), tuple(parent)
-
-
-def full_multiset_graph(protocol: Protocol, n: int, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
-    """One-interaction relation over all count vectors of population n."""
-    configs, succ, _ = _explore(
-        _compositions(n, protocol.state_count), partial(successors, protocol), budget
-    )
-    return ConfigGraph(configs, succ, ())
-
-
-def full_vertex_graph(
-    protocol: Protocol, graph, budget: int = DEFAULT_BUDGET
-) -> ConfigGraph:
-    """One-interaction relation over all per-vertex assignments of a graph."""
-
-    def vertex_successors(assignment):
-        succ = set()
-        for u, v in graph.edges:
-            for x, y in ((u, v), (v, u)):
-                for a, b in protocol.rules[(assignment[x], assignment[y])]:
-                    nxt = list(assignment)
-                    nxt[x] = a
-                    nxt[y] = b
-                    succ.add(tuple(nxt))
-        return succ
-
-    roots = itertools.product(range(protocol.state_count), repeat=graph.vertex_count)
-    configs, succ, _ = _explore(roots, vertex_successors, budget)
-    return ConfigGraph(configs, succ, ())
 
 
 def bottom_sccs(graph: ConfigGraph) -> list[frozenset]:

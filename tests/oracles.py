@@ -10,7 +10,8 @@ Contents:
   * an exact expected-absorption-time solver for the Pavlov prisoner's
     dilemma on a complete graph (Fraction arithmetic, Gaussian elimination);
   * a per-agent (tuple-based) execution semantics: successor sets, reachable
-    graphs, and bottom SCCs over agent tuples, for cross-checking the
+    graphs, and bottom SCCs over agent tuples, on the complete graph or over
+    the oriented edges of an interaction graph, for cross-checking the
     package's anonymous count-vector semantics;
   * a plain-integer splitmix64 reference stream, and a per-step simulator
     that draws from it in the documented order, with the window stop rule
@@ -22,6 +23,7 @@ Contents:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 Pair = tuple[int, int]
@@ -102,37 +104,58 @@ def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
 # ---------------------------------------------------------------------------
 
 
-def agent_successors(rules: RuleTable, agents: tuple[int, ...]) -> set[tuple[int, ...]]:
+def agent_successors(
+    rules: RuleTable, agents: tuple[int, ...], pairs: list[Pair] | None = None
+) -> set[tuple[int, ...]]:
+    """One interaction over the ordered position pairs `pairs` (the oriented
+    edges of an interaction graph), or over every ordered pair of distinct
+    positions when `pairs` is None (the complete graph)."""
+    if pairs is None:
+        n = len(agents)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     out: set[tuple[int, ...]] = set()
-    n = len(agents)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for a, b in rules[(agents[i], agents[j])]:
-                nxt = list(agents)
-                nxt[i] = a
-                nxt[j] = b
-                out.add(tuple(nxt))
+    for i, j in pairs:
+        for a, b in rules[(agents[i], agents[j])]:
+            nxt = list(agents)
+            nxt[i] = a
+            nxt[j] = b
+            out.add(tuple(nxt))
     return out
 
 
 def agent_reachable(
-    rules: RuleTable, init: tuple[int, ...]
+    rules: RuleTable, init: tuple[int, ...], pairs: list[Pair] | None = None
 ) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
-    """BFS closure of the per-agent graph; adjacency as a dict of sets."""
+    """BFS closure of the per-agent graph under `agent_successors` over
+    `pairs`; adjacency as a dict of sets."""
     graph: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     frontier = [init]
     graph[init] = set()
     while frontier:
         node = frontier.pop()
-        succs = agent_successors(rules, node)
+        succs = agent_successors(rules, node, pairs)
         graph[node] = succs
         for s in succs:
             if s not in graph:
                 graph[s] = set()
                 frontier.append(s)
     return graph
+
+
+def agent_full_graph(
+    rules: RuleTable, state_count: int, n: int, pairs: list[Pair] | None = None
+) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    """Every assignment of states to n positions with its successors over
+    `pairs`: the union of `agent_reachable` over every start."""
+    return {
+        agents: agent_successors(rules, agents, pairs)
+        for agents in itertools.product(range(state_count), repeat=n)
+    }
+
+
+def oriented(edges) -> list[Pair]:
+    """Both orientations of each undirected edge (u, v)."""
+    return [pair for u, v in edges for pair in ((u, v), (v, u))]
 
 
 def bottom_sccs_of(graph: dict) -> list[frozenset]:

@@ -22,8 +22,6 @@ from popgames import (
     check_pavlovian,
     config_of,
     derive_protocol,
-    full_multiset_graph,
-    full_vertex_graph,
     initial_config,
     is_symmetric,
     make_game,
@@ -254,12 +252,19 @@ def test_criterion_08_pavlov_pd_self_stabilizes(kernels_warm):
         pd = builtin("pavlov-pd")
         all_c = pd.index("C")
         for n in range(2, 9):
-            bottoms = bottom_sccs(full_multiset_graph(pd, n))
+            # the bottom SCCs reached from every start of n agents
+            bottoms = {
+                scc
+                for start in oracles.compositions(n, 2)
+                for scc in bottom_sccs(reachable(pd, start))
+            }
             want = tuple(n if i == all_c else 0 for i in range(2))
-            if bottoms != [frozenset({want})]:
+            if bottoms != {frozenset({want})}:
                 details.append(f"complete n={n}: bottoms {bottoms}")
-            ring = InteractionGraph.ring(n)
-            vertex_bottoms = bottom_sccs(full_vertex_graph(pd, ring))
+            ring = oracles.oriented(InteractionGraph.ring(n).edges)
+            vertex_bottoms = oracles.bottom_sccs_of(
+                oracles.agent_full_graph(pd.rules, 2, n, ring)
+            )
             if vertex_bottoms != [frozenset({(all_c,) * n})]:
                 details.append(f"ring n={n}: bottoms {vertex_bottoms}")
         exact = oracles.pd_expected_steps(3)

@@ -98,6 +98,9 @@ def test_initial_config_errors():
         initial_config(p, {"2": 3})
     with pytest.raises(ProtocolError):
         initial_config(p, {"0": -1, "1": 3})
+    for count in ("3", 2.5):
+        with pytest.raises(ProtocolError, match="counts must be integers, got .* for symbol '0'"):
+            initial_config(p, {"0": count, "1": 1})
 
 
 def test_initial_config_requires_input_map():

@@ -283,6 +283,15 @@ def test_parse_graph_file_errors():
         with pytest.raises(FormatError) as err:
             parse_graph_file(text)
         assert (err.value.line, err.value.column) == (line, 1)
+    # more digits than `int` reads: refused at the number, not as a bare ValueError
+    long = "9" * 5000
+    for text, line, column in (
+        (f"vertices {long}\n", 1, 10),
+        (f"vertices 3\nedge 0 {long}\n", 2, 8),
+    ):
+        with pytest.raises(FormatError, match="5000 digits") as err:
+            parse_graph_file(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_states_with_odd_tokens_round_trip():

@@ -168,6 +168,10 @@ def test_stop_rule_validation():
         run(builtin("pavlov-pd"), {"D": 3}, stop=("target", {"C": 5}), max_steps=2000)
     with pytest.raises(ProtocolError, match="not a configuration of 3 agents"):
         run(builtin("pavlov-pd"), {"D": 3}, stop=("target", {"C": 4, "D": -1}))
+    # counts are read as the start's are: refused, never truncated
+    for count in (2.5, "2"):
+        with pytest.raises(ProtocolError, match="not a configuration of 3 agents"):
+            run(builtin("pavlov-pd"), {"D": 3}, stop=("target", {"C": count, "D": 1}))
 
 
 def test_negative_max_steps_rejected():

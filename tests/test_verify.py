@@ -5,7 +5,6 @@ import dataclasses
 import random
 import sys
 import threading
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +21,6 @@ from popgames import (
     complete,
     config_of,
     eval_predicate,
-    full_multiset_graph,
-    full_vertex_graph,
     initial_config,
     make_protocol,
     monte_carlo,
@@ -132,10 +129,12 @@ def test_parse_errors_carry_positions(text, position):
 
 @pytest.mark.parametrize(
     "text, position",
-    [("n_1 >= ²", 7), ("n_1 >= 1²", 8), ("n_1 mod ² = 1", 8), ("½ * n_1 > 0", 0)],
+    [("n_1 >= ²", 7), ("n_1 >= 1²", 8), ("n_1 mod ² = 1", 8), ("½ * n_1 > 0", 0),
+     pytest.param("n_1 >= " + "1" * 5000, 7, id="n_1 >= <5000 digits>-7")],
 )
 def test_non_decimal_numerics_are_refused_with_a_position(text, position):
-    # `²` and `½` are numerics but not decimal digits, which `int` refuses
+    # `²` and `½` are numerics but not decimal digits, which `int` refuses, as
+    # it refuses a run of more digits than its limit
     with pytest.raises(PredicateError) as err:
         parse_predicate(text)
     assert err.value.position == position
@@ -315,32 +314,39 @@ def test_budget_counts_the_root():
         reachable(majority, (2, 0, 0, 0), 0)
 
 
-def test_full_multiset_graph_or():
-    graph = full_multiset_graph(builtin("or"), 3)
-    assert set(graph.nodes) == {(3, 0), (2, 1), (1, 2), (0, 3)}
-    assert bottom_sccs(graph) == [frozenset({(0, 3)}), frozenset({(3, 0)})]
+def test_reachable_from_every_start_or():
+    p = builtin("or")
+    graphs = [reachable(p, start) for start in oracles.compositions(3, 2)]
+    assert {c for graph in graphs for c in graph.configs} == {(3, 0), (2, 1), (1, 2), (0, 3)}
+    assert {scc for graph in graphs for scc in bottom_sccs(graph)} == {
+        frozenset({(0, 3)}), frozenset({(3, 0)})
+    }
+    majority = builtin("majority")
     with pytest.raises(BudgetExceeded):
-        full_multiset_graph(builtin("majority"), 50, budget=10)
+        reachable(majority, initial_config(majority, {"0": 25, "1": 25}), budget=10)
 
 
-def test_full_vertex_graph_pd_ring():
+def test_pd_ring_per_vertex_bottoms():
     pd = builtin("pavlov-pd")
-    graph = full_vertex_graph(pd, InteractionGraph.ring(3))
-    assert len(graph.nodes) == 8
+    ring = oracles.oriented(InteractionGraph.ring(3).edges)
+    graph = oracles.agent_full_graph(pd.rules, 2, 3, ring)
+    assert len(graph) == 8
     # C is state 0: mutual cooperation is the one absorbing component
-    assert bottom_sccs(graph) == [frozenset({(0, 0, 0)})]
-    # 2^40 assignments: listing them all before the budget check would never finish
-    with pytest.raises(BudgetExceeded):
-        full_vertex_graph(pd, InteractionGraph.ring(40), budget=100)
+    assert oracles.bottom_sccs_of(graph) == [frozenset({(0, 0, 0)})]
+
+
+def test_one_state_graph_is_its_root():
+    one = make_protocol("one", ("a",), [])
+    graph = reachable(one, (3,))
+    assert graph.configs == ((3,),) and graph.parent == (-1,)
+    assert graph.root == (3,) and graph.path_to((3,)) == ((3,),)
+    assert bottom_sccs(graph) == [frozenset({(3,)})]
 
 
 def test_path_to_refuses_configurations_outside_the_graph():
     graph = reachable(builtin("or"), (2, 1))
     with pytest.raises(ProtocolError, match=r"configuration \(3, 0\) is not in the graph"):
         graph.path_to((3, 0))
-    full = full_multiset_graph(builtin("or"), 3)
-    with pytest.raises(ProtocolError, match=r"graph has no root.*\(3, 0\)"):
-        full.path_to((3, 0))
 
 
 @st.composite
@@ -404,37 +410,6 @@ def test_reachable_matches_agent_semantics(case):
     assert len(reachable(protocol, init, budget=len(projected)).nodes) == len(projected)
     with pytest.raises(BudgetExceeded):
         reachable(protocol, init, budget=len(projected) - 1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(random_protocols(), st.integers(2, 5))
-def test_full_multiset_bottoms_are_those_of_every_start(protocol, n):
-    full = full_multiset_graph(protocol, n)
-    assert full.parent == ()
-    from_starts = {
-        scc for start in full.configs for scc in bottom_sccs(reachable(protocol, start))
-    }
-    assert set(bottom_sccs(full)) == from_starts
-
-
-def test_full_graph_budget_boundary():
-    majority, pd, ring = builtin("majority"), builtin("pavlov-pd"), InteractionGraph.ring(4)
-    for build in (partial(full_multiset_graph, majority, 4),
-                  partial(full_vertex_graph, pd, ring)):
-        size = len(build().configs)
-        assert build(budget=size).configs == build().configs
-        for budget in (size - 1, 0):
-            with pytest.raises(BudgetExceeded) as err:
-                build(budget=budget)
-            assert err.value.budget == budget
-
-
-def test_full_graphs_of_one_state_are_unrooted():
-    one = make_protocol("one", ("a",), [])
-    for graph in (full_multiset_graph(one, 3),
-                  full_vertex_graph(one, InteractionGraph.ring(3))):
-        assert len(graph.configs) == 1
-        assert graph.parent == () and graph.root is None
 
 
 def test_bottom_scc_weak_xor_pair():
