@@ -5,13 +5,27 @@ kernels are compiled over int64 arrays; without it, or with
 POPGAMES_NO_NUMBA=1, the very same functions run as plain Python over lists
 of ints.  `kernel_input` gives each input the form its backend steps over, so
 the kernel code sticks to operations both forms share: `len`, integer
-literals, and indexing one level at a time.
+literals, and indexing one level at a time.  `_tables` turns a
+protocol's rules and outputs into the tables the kernels read;
+`Protocol._kernel_tables` builds them once per protocol object, so a Monte
+Carlo trial pays only for its steps.
 
-Only the splitmix64 generator has a definition per backend: uint64 arithmetic
-under numba, masked Python-int arithmetic without it.  `seed_state` gives its
-state in the backend's form, a one-element uint64 array under numba and a
-one-element list holding `seed & (2**64 - 1)` without it.  Both produce the
-same stream, so traces are bit-identical across backends.
+Only the splitmix64 generator has a definition per backend, with one body in
+each: under numba `next_u64` holds the uint64 arithmetic and `rand_below`
+reduces its output; without numba `rand_below` holds the masked Python-int
+arithmetic and `next_u64(state)` is `rand_below(state, 2**64)`, exact since
+every output is below 2^64.  `seed_state` gives the state in the backend's
+form, a one-element uint64 array under numba and a one-element list holding
+`seed & (2**64 - 1)` without it.  Both produce the same stream, so traces are
+bit-identical across backends.
+
+The stepping loops are written out in full on purpose.  On the plain path a
+Python call costs about as much as a few lines of stepping, so each kernel
+inlines its silent test, its pick of an interacting pair (two agents from
+the count vector, or an edge and an orientation) and its successor choice;
+a silent or unstopped run calls only `rand_below` per step.  The helpers
+left are those both kernels share: `_counts_match` for a target rule, and
+`_update_window` with `_config_output` for a window rule.
 
 numpy is imported only beside numba: the plain path, and with it every
 `popgames` command run without numba, uses the standard library alone.
@@ -61,6 +75,33 @@ def kernel_input(values):
     return list(values)
 
 
+def _tables(protocol):
+    """A protocol's rules and outputs in kernel form: successor offsets per
+    ordered state pair p = q1 * n + q2 (its successors are entries
+    offsets[p] to offsets[p + 1] - 1), the first and second states of every
+    successor pair in sorted order, identity-only flags per pair, and output
+    bits (-1 for none)."""
+    n = protocol.state_count
+    offsets = [0]
+    firsts = []
+    seconds = []
+    identity_only = [0] * (n * n)
+    for q1 in range(n):
+        for q2 in range(n):
+            succs = sorted(protocol.rules[(q1, q2)])
+            if succs == [(q1, q2)]:
+                identity_only[q1 * n + q2] = 1
+            for a, b in succs:
+                firsts.append(a)
+                seconds.append(b)
+            offsets.append(len(firsts))
+    if protocol.output_map is None:
+        out_bits = [-1] * n
+    else:
+        out_bits = [int(bit) for bit in protocol.output_map]
+    return tuple(map(kernel_input, (offsets, firsts, seconds, identity_only, out_bits)))
+
+
 STOP_NONE = 0
 STOP_SILENT = 1
 STOP_WINDOW = 2
@@ -99,26 +140,15 @@ if NUMBA_ENABLED:
 
 else:
 
-    def next_u64(state):
+    def rand_below(state, m):
         z = (state[0] + _GAMMA) & _MASK64
         state[0] = z
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return (z ^ (z >> 31)) % m
 
-    def rand_below(state, m):
-        return next_u64(state) % m
-
-
-@njit(cache=True)
-def _pick_agent(counts, r):
-    """State index of the r-th agent in count-vector order."""
-    acc = 0
-    for q in range(len(counts)):
-        acc += counts[q]
-        if r < acc:
-            return q
-    return len(counts) - 1
+    def next_u64(state):
+        return rand_below(state, 1 << 64)
 
 
 @njit(cache=True)
@@ -139,31 +169,6 @@ def _config_output(counts, out_bits):
 
 
 @njit(cache=True)
-def _multiset_silent(counts, identity_only):
-    n = len(counts)
-    for q1 in range(n):
-        if counts[q1] == 0:
-            continue
-        for q2 in range(n):
-            if counts[q2] == 0 or (q1 == q2 and counts[q1] < 2):
-                continue
-            if identity_only[q1 * n + q2] == 0:
-                return False
-    return True
-
-
-@njit(cache=True)
-def _graph_silent(states, edges, identity_only, n):
-    for e in range(len(edges)):
-        edge = edges[e]
-        qu = states[edge[0]]
-        qv = states[edge[1]]
-        if identity_only[qu * n + qv] == 0 or identity_only[qv * n + qu] == 0:
-            return False
-    return True
-
-
-@njit(cache=True)
 def _counts_match(counts, target):
     for q in range(len(counts)):
         if counts[q] != target[q]:
@@ -181,15 +186,6 @@ def _update_window(counts, out_bits, run_len, prev_out):
     else:
         run_len = 0
     return run_len, out
-
-
-@njit(cache=True)
-def _apply_successor(counts, succ_off, succ_a, succ_b, q1, q2, n, rng):
-    p = q1 * n + q2
-    lo = succ_off[p]
-    k = succ_off[p + 1] - lo
-    idx = lo if k == 1 else lo + rand_below(rng, k)
-    return succ_a[idx], succ_b[idx]
 
 
 @njit(cache=True)
@@ -215,25 +211,46 @@ def run_multiset(
         total += counts[q]
     steps = 0
     while True:
-        if stop_mode == STOP_SILENT and _multiset_silent(counts, identity_only):
-            return steps, True, run_len, prev_out
+        if stop_mode == STOP_SILENT:
+            # silent: no present ordered pair of agents has a moving rule
+            silent = True
+            q1 = 0
+            while silent and q1 < n:
+                if counts[q1] > 0:
+                    for q2 in range(n):
+                        if identity_only[q1 * n + q2] == 0 and counts[q2] > (1 if q1 == q2 else 0):
+                            silent = False
+                            break
+                q1 += 1
+            if silent:
+                return steps, True, run_len, prev_out
         if stop_mode == STOP_WINDOW and run_len >= window:
             return steps, True, run_len, prev_out
         if stop_mode == STOP_TARGET and _counts_match(counts, target):
             return steps, True, run_len, prev_out
         if steps >= max_steps:
             return steps, False, run_len, prev_out
-        r1 = rand_below(rng, total)
-        q1 = _pick_agent(counts, r1)
+        # initiator: the r-th agent in state order; responder: the r-th of
+        # the agents left once the initiator is taken out
+        r = rand_below(rng, total)
+        q1 = 0
+        while r >= counts[q1]:
+            r -= counts[q1]
+            q1 += 1
         counts[q1] -= 1
-        r2 = rand_below(rng, total - 1)
-        q2 = _pick_agent(counts, r2)
-        counts[q1] += 1
-        a, b = _apply_successor(counts, succ_off, succ_a, succ_b, q1, q2, n, rng)
-        counts[q1] -= 1
+        r = rand_below(rng, total - 1)
+        q2 = 0
+        while r >= counts[q2]:
+            r -= counts[q2]
+            q2 += 1
         counts[q2] -= 1
-        counts[a] += 1
-        counts[b] += 1
+        p = q1 * n + q2
+        i = succ_off[p]
+        choices = succ_off[p + 1] - i
+        if choices > 1:
+            i += rand_below(rng, choices)
+        counts[succ_a[i]] += 1
+        counts[succ_b[i]] += 1
         steps += 1
         if stop_mode == STOP_WINDOW:
             run_len, prev_out = _update_window(counts, out_bits, run_len, prev_out)
@@ -262,8 +279,18 @@ def run_graph(
     m = len(edges)
     steps = 0
     while True:
-        if stop_mode == STOP_SILENT and _graph_silent(states, edges, identity_only, n):
-            return steps, True, run_len, prev_out
+        if stop_mode == STOP_SILENT:
+            # silent: no edge has a moving rule in either orientation
+            silent = True
+            for e in range(m):
+                edge = edges[e]
+                qu = states[edge[0]]
+                qv = states[edge[1]]
+                if identity_only[qu * n + qv] == 0 or identity_only[qv * n + qu] == 0:
+                    silent = False
+                    break
+            if silent:
+                return steps, True, run_len, prev_out
         if stop_mode == STOP_WINDOW and run_len >= window:
             return steps, True, run_len, prev_out
         if stop_mode == STOP_TARGET and _counts_match(counts, target):
@@ -277,7 +304,13 @@ def run_graph(
         v = edge[flip]
         q1 = states[u]
         q2 = states[v]
-        a, b = _apply_successor(counts, succ_off, succ_a, succ_b, q1, q2, n, rng)
+        p = q1 * n + q2
+        i = succ_off[p]
+        choices = succ_off[p + 1] - i
+        if choices > 1:
+            i += rand_below(rng, choices)
+        a = succ_a[i]
+        b = succ_b[i]
         states[u] = a
         states[v] = b
         counts[q1] -= 1

@@ -68,7 +68,7 @@ def resolve_budget(args) -> int:
         raise ProtocolError(
             f"POPGAMES_BUDGET must be a non-negative integer, got {raw!r}"
         )
-    return int(raw)
+    return _int(raw, "POPGAMES_BUDGET")
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +80,21 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _int(text: str, what: str) -> int:
+    """Decimal digits, checked by the caller, with an optional "-": an int, or
+    a ProtocolError naming `what` when `int` refuses that many digits."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.removeprefix("-"))
+        raise ProtocolError(f"{what}: number of {digits} digits is too long") from None
+
+
 def _parse_sizes(spec: str) -> range:
     lo, sep, hi = spec.partition("..")
     if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise ProtocolError(f"sizes must look like 2..8, got {spec!r}")
-    return range(int(lo), int(hi) + 1)
+    return range(_int(lo, "--sizes"), _int(hi, "--sizes") + 1)
 
 
 def _parse_counts(spec: str, what: str) -> dict[str, int]:
@@ -93,7 +103,7 @@ def _parse_counts(spec: str, what: str) -> dict[str, int]:
         key, sep, value = part.partition(":")
         if not sep or not key or not value.removeprefix("-").isdecimal():
             raise ProtocolError(f"{what} must look like a:2,b:1, got {spec!r}")
-        counts[key] = counts.get(key, 0) + int(value)
+        counts[key] = counts.get(key, 0) + _int(value, what)
     return counts
 
 
@@ -104,7 +114,7 @@ def _parse_stop(spec: str):
         return None
     kind, sep, arg = spec.partition(":")
     if kind == "window" and sep and arg.isdecimal():
-        return ("window", int(arg))
+        return ("window", _int(arg, "--stop window:<w>"))
     raise ProtocolError(f"stop rule must be silent, none, or window:<w>, got {spec!r}")
 
 

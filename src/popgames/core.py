@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import add
 
+from . import _kernels
+
 
 class ProtocolError(ValueError):
     """Structurally invalid protocol, configuration, or input."""
@@ -111,6 +113,12 @@ class Protocol:
                 need = 2 if q1 == q2 else 1
                 table.append((q1, q2, need, keeps, tuple(sorted(deltas))))
         return tuple(table)
+
+    @cached_property
+    def _kernel_tables(self) -> tuple:
+        """`_kernels._tables` of this protocol, built on first use and
+        shared by every later run of it."""
+        return _kernels._tables(self)
 
     @cached_property
     def _mirror_missing(self) -> tuple[int, int, int, int] | None:

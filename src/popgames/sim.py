@@ -28,7 +28,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 from . import _kernels as k
 from .core import (
@@ -113,31 +112,7 @@ class StatsReport:
 
 
 # ---------------------------------------------------------------------------
-# protocol tables in kernel form
-
-
-def _tables(protocol: Protocol):
-    """Successor offsets and pairs per ordered state pair, identity-only flags
-    and output bits (-1 for none), as lists of ints."""
-    n = protocol.state_count
-    offsets = [0]
-    firsts: list[int] = []
-    seconds: list[int] = []
-    identity_only = [0] * (n * n)
-    for q1 in range(n):
-        for q2 in range(n):
-            succs = sorted(protocol.rules[(q1, q2)])
-            if succs == [(q1, q2)]:
-                identity_only[q1 * n + q2] = 1
-            for a, b in succs:
-                firsts.append(a)
-                seconds.append(b)
-            offsets.append(len(firsts))
-    if protocol.output_map is None:
-        out_bits = [-1] * n
-    else:
-        out_bits = [int(bit) for bit in protocol.output_map]
-    return offsets, firsts, seconds, identity_only, out_bits
+# kernel inputs
 
 
 def _stop_params(
@@ -150,7 +125,10 @@ def _stop_params(
     if stop == "silent":
         return k.STOP_SILENT, 0, target
     if isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "window":
-        window = int(stop[1])
+        try:
+            window = operator.index(stop[1])
+        except TypeError:  # 2.5 or "3": refused, never truncated or parsed
+            raise ProtocolError(f"window must be an integer, got {stop[1]!r}") from None
         if window < 1:
             raise ProtocolError("window must be >= 1")
         if min(out_bits) < 0:
@@ -193,9 +171,7 @@ def run(
     with `graph` it may instead be a per-vertex state-name sequence."""
     if max_steps < 0:
         raise ProtocolError(f"max_steps must be >= 0, got {max_steps}")
-    offsets, succ_a, succ_b, identity_only, out_bits = map(
-        k.kernel_input, _tables(protocol)
-    )
+    offsets, succ_a, succ_b, identity_only, out_bits = protocol._kernel_tables
 
     states = None
     if isinstance(init, Mapping):
@@ -220,12 +196,14 @@ def run(
     kernel_args = (offsets, succ_a, succ_b, identity_only, out_bits,
                    stop_mode, window, k.kernel_input(target))
     if graph is None:
-        advance = partial(k.run_multiset, counts, *kernel_args)
+        kernel = k.run_multiset
+        kernel_args = (counts, *kernel_args)
     else:
+        kernel = k.run_graph
         states = k.kernel_input(states)
-        edges = k.kernel_input(graph.edges)
-        advance = partial(k.run_graph, states, counts, edges, *kernel_args)
-    prev_out = int(k._config_output(counts, out_bits))
+        kernel_args = (states, counts, k.kernel_input(graph.edges), *kernel_args)
+    # only the window rule reads the output bookkeeping
+    prev_out = int(k._config_output(counts, out_bits)) if stop_mode == k.STOP_WINDOW else -1
     run_len = 1 if prev_out >= 0 else 0
 
     # One step per kernel call while a trace is kept or a callable stop rule
@@ -234,12 +212,12 @@ def run(
     stop_rule = stop if callable(stop) else None
     stepwise = record_trace or stop_rule is not None
     chunk = 1 if stepwise else max_steps
-    trace: list[Config] = [tuple(map(int, counts))]
+    trace = [tuple(map(int, counts))] if stepwise else None
     steps = 0
     stabilized = stop_rule is not None and stop_rule(protocol, tuple(trace))
     while not stabilized:
-        done, stabilized, run_len, prev_out = advance(
-            min(chunk, max_steps - steps), rng, run_len, prev_out
+        done, stabilized, run_len, prev_out = kernel(
+            *kernel_args, min(chunk, max_steps - steps), rng, run_len, prev_out
         )
         steps += int(done)
         if done and stepwise:

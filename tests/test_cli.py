@@ -302,6 +302,34 @@ def test_number_options_refuse_non_decimal_digits(tmp_path, capsys, monkeypatch)
         2, "error: POPGAMES_BUDGET must be a non-negative integer, got '²'\n")
 
 
+HUGE = "9" * 5000  # more digits than `int` reads from a string
+
+
+@pytest.mark.parametrize(
+    "argv, budget, what",
+    [
+        (("verify", "{path}", "--predicate", "n_1 >= 1", "--sizes", f"2..{HUGE}"), None,
+         "--sizes"),
+        (("simulate", "{path}", "--input", f"0:{HUGE}"), None, "--input"),
+        (("simulate", "{path}", "--init-states", f"0:-{HUGE}"), None, "--init-states"),
+        (("simulate", "{path}", "--input", "0:3", "--stop", f"window:{HUGE}"), None,
+         "--stop window:<w>"),
+        (("verify", "{path}", "--predicate", "n_1 >= 1", "--sizes", "2..3"), HUGE,
+         "POPGAMES_BUDGET"),
+    ],
+    ids=["sizes", "counts", "negative-counts", "stop-window", "budget"],
+)
+def test_a_number_too_long_for_int_names_its_option(
+    tmp_path, capsys, monkeypatch, argv, budget, what
+):
+    path = protocol_file(tmp_path, builtin("or"))
+    if budget is not None:
+        monkeypatch.setenv("POPGAMES_BUDGET", budget)
+    argv = [arg.replace("{path}", path) for arg in argv]
+    assert run_cli(capsys, *argv)[::2] == (
+        2, f"error: {what}: number of 5000 digits is too long\n")
+
+
 def test_simulate_rejects_zero_trials(tmp_path, capsys):
     path = protocol_file(tmp_path, builtin("or"))
     code, _, err = run_cli(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from popgames import NUMBA_ENABLED, backend, builtin, run
+from popgames import NUMBA_ENABLED, backend, builtin, monte_carlo, run, symmetrize
 from popgames.core import Protocol, complete
 from popgames.sim import InteractionGraph
 import popgames._kernels as kernels
@@ -153,6 +153,56 @@ def test_run_matches_reference_simulator(case):
     result = run(protocol, counts, seed=seed, max_steps=max_steps, stop=stop,
                  graph=graph, record_trace=record_trace)
     assert dataclasses.asdict(result) == reference(*case)
+
+
+# (protocol, init, ring size or None, max_steps, stop rule): trials share one
+# protocol object, and so its kernel tables
+MONTE_CARLO_CASES = [
+    (builtin("pavlov-pd"), {"D": 3}, None, 2000, "silent"),
+    # nondeterministic: most pairs draw their successor
+    (symmetrize(builtin("or")), {"0": 2, "1'": 2}, None, 60, ("window", 5)),
+    (builtin("pavlov-pd"), {"D": 5}, 5, 2000, "silent"),
+]
+
+
+def test_monte_carlo_matches_reference_simulator_trial_by_trial():
+    trials, seed = 30, 11
+    for protocol, init, ring, max_steps, stop in MONTE_CARLO_CASES:
+        graph = None if ring is None else InteractionGraph.ring(ring)
+        report = monte_carlo(protocol, init, graph=graph, trials=trials, seed=seed,
+                             max_steps=max_steps, stop=stop)
+        trial_seeds = oracles.splitmix64_stream(seed, trials)
+        for result, trial_seed in zip(report.runs, trial_seeds, strict=True):
+            expected = reference(protocol, init, trial_seed, max_steps, stop, ring, False)
+            assert dataclasses.asdict(result) == expected, (protocol.name, trial_seed)
+
+
+def test_kernel_tables_are_built_once_per_protocol_object(monkeypatch):
+    builds = []
+    build = kernels._tables
+
+    def counted(protocol):
+        builds.append(protocol)
+        return build(protocol)
+
+    monkeypatch.setattr(kernels, "_tables", counted)
+    pd = dataclasses.replace(builtin("pavlov-pd"), output_map=(1, 0))
+    monte_carlo(pd, {"D": 3}, trials=25, seed=3)
+    monte_carlo(pd, {"D": 3}, trials=25, seed=4, stop=("window", 3))
+    assert builds == [pd]
+
+    # a copy with other rules or another output map reads its own tables:
+    # it runs as a protocol made afresh from the same fields does
+    frozen = complete({}, 2)  # every pair keeps its states
+    stop = ("window", 4)
+    for copy in (dataclasses.replace(pd, rules=frozen),
+                 dataclasses.replace(pd, output_map=(1, 1))):
+        fresh = Protocol(copy.name, copy.states, dict(copy.rules), output_map=copy.output_map)
+        report = monte_carlo(copy, {"D": 3}, trials=25, seed=5, stop=stop)
+        assert report == monte_carlo(fresh, {"D": 3}, trials=25, seed=5, stop=stop)
+        assert report != monte_carlo(pd, {"D": 3}, trials=25, seed=5, stop=stop)
+    # pd, then each copy and each fresh protocol, once
+    assert len(builds) == len({id(p) for p in builds}) == 5
 
 
 def test_fallback_flag_selects_numpy_backend():

@@ -172,6 +172,9 @@ def test_stop_rule_validation():
     for count in (2.5, "2"):
         with pytest.raises(ProtocolError, match="not a configuration of 3 agents"):
             run(builtin("pavlov-pd"), {"D": 3}, stop=("target", {"C": count, "D": 1}))
+    for window in (2.5, "3"):
+        with pytest.raises(ProtocolError, match="window must be an integer"):
+            run(p, {"0": 2, "1": 1}, stop=("window", window), seed=1)
 
 
 def test_negative_max_steps_rejected():
