@@ -23,12 +23,14 @@ position of the first token it cannot read.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import sys
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import compress
 from types import MappingProxyType
 
 from .core import (
@@ -358,10 +360,11 @@ class ConfigGraph:
 
     def _path(self, i: int) -> tuple[tuple, ...]:
         """The BFS-tree path from the root to configuration id `i`."""
+        configs, parent = self.configs, self.parent
         path = []
         while i >= 0:
-            path.append(self.configs[i])
-            i = self.parent[i]
+            path.append(configs[i])
+            i = parent[i]
         return tuple(reversed(path))
 
 
@@ -385,6 +388,15 @@ _explored = _Explored(None)
 _explored_lock = threading.Lock()
 
 
+def _checked_budget(budget) -> int:
+    """`budget` as a Python int (by `operator.index`, so 2.5 and "5" are
+    refused rather than used as given); else ProtocolError."""
+    try:
+        return operator.index(budget)
+    except TypeError:
+        raise ProtocolError(f"budget must be an integer, got {budget!r}") from None
+
+
 def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
     """Breadth-first closure of one initial configuration under single
     interactions, each configuration numbered as it is first reached;
@@ -397,6 +409,7 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
     returns the same graph, whatever input and output maps the protocol has.
     """
     global _explored
+    budget = _checked_budget(budget)
     init = _checked_config(protocol, init)
     moves = protocol.moves
     memo = _explored
@@ -438,7 +451,7 @@ def bottom_sccs(graph: ConfigGraph) -> list[frozenset]:
 # verdicts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """A reachable bottom-SCC member violating the checked property, with a
     root-to-violation interaction path."""
@@ -459,7 +472,7 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputResult:
     input: tuple[tuple[str, int], ...]
     passed: bool
@@ -475,7 +488,7 @@ class InputResult:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Per-input pass/fail over the verified sizes; holds for those sizes only."""
 
@@ -506,12 +519,22 @@ def _compositions(n: int, k: int):
 
 
 def _check_sizes(sizes: Iterable[int]) -> tuple[int, ...]:
-    sizes = tuple(sizes)
-    if not sizes:
+    """The population sizes as Python ints (by `operator.index`), at least
+    one, none below 2 and none repeated; else ProtocolError."""
+    checked: dict[int, None] = {}
+    for size in sizes:
+        try:
+            n = operator.index(size)
+        except TypeError:
+            raise ProtocolError(f"population size {size!r} is not an integer") from None
+        if n in checked:
+            raise ProtocolError(f"population size {n} is listed twice")
+        checked[n] = None
+    if not checked:
         raise ProtocolError("empty size range")
-    if min(sizes) < 2:
+    if min(checked) < 2:
         raise ProtocolError("population sizes must be >= 2")
-    return sizes
+    return tuple(checked)
 
 
 def _as_predicate(predicate) -> PredicateExpr:
@@ -520,44 +543,67 @@ def _as_predicate(predicate) -> PredicateExpr:
 
 def _check_bottoms(
     protocol: Protocol,
-    cases: Iterable[tuple[tuple[tuple[str, int], ...], Config, int]],
+    cases: Iterable[tuple[tuple[tuple[str, int], ...], Config, int, InputResult]],
     measure: Callable[[Config], int | None],
     property_name: str,
     sizes: tuple[int, ...],
     budget: int,
 ) -> Verdict:
-    """Explore each (input, initial configuration, expected value) case in
-    order; the case fails at the first bottom-SCC configuration, scanning the
-    SCCs in `bottom_sccs` order and each one sorted, whose `measure` differs
-    from the expected value."""
+    """Explore each (input, initial configuration, expected value, passing
+    result) case in order; the case fails at the first bottom-SCC
+    configuration, scanning the SCCs in `bottom_sccs` order and each one
+    sorted, whose `measure` differs from the expected value, and otherwise
+    gives its passing result, a read-only value that verdicts may share.
+
+    An input costs its `reachable` call (the argument checks and, for a
+    graph explored before, one memo lookup) and a scan of its bottom-SCC
+    members by id with one `measure` call each; a failing input also builds
+    its InputResult, Counterexample and BFS path.  The scan reads
+    `_bottom_ids`, which holds the members of each of `bottom_sccs` by id in
+    scan order, so `bottom_sccs` itself adds only its call per input: it
+    stays the public call that perfbench counts per input.
+    """
+    budget = _checked_budget(budget)
     results = []
-    for label, init, expected in cases:
+    passed = True
+    for label, init, expected, passing in cases:
         graph = reachable(protocol, init, budget)
+        bottom_sccs(graph)
         configs = graph.configs
         cex = None
-        # `_bottom_ids` holds the members of each of `bottom_sccs` by id, in
-        # scan order, so a counterexample's path is walked from its id;
-        # `bottom_sccs` stays the call that perfbench counts per input
-        scan = zip(bottom_sccs(graph), graph._bottom_ids)
-        for i in (i for _, ids in scan for i in ids):
-            actual = measure(configs[i])
-            if actual != expected:
-                cex = Counterexample(
-                    config=configs[i],
-                    path=graph._path(i),
-                    expected=expected,
-                    actual=actual,
-                    property=property_name,
-                )
+        for ids in graph._bottom_ids:
+            for i in ids:
+                actual = measure(configs[i])
+                if actual != expected:
+                    cex = Counterexample(
+                        configs[i], graph._path(i), expected, actual, property_name
+                    )
+                    break
+            if cex is not None:
+                passed = False
                 break
-        results.append(
-            InputResult(input=label, passed=cex is None, counterexample=cex)
-        )
-    return Verdict(
-        passed=all(r.passed for r in results),
-        per_input=tuple(results),
-        sizes=sizes,
-    )
+        results.append(passing if cex is None else InputResult(label, False, cex))
+    return Verdict(passed, tuple(results), sizes)
+
+
+def _output_measure(protocol: Protocol) -> Callable[[Config], int | None]:
+    """`output_of_config(protocol, config)` as a function of the
+    configuration, read from the output bits: the agents in states that
+    output 1 are all of them (1), none of them (0), or some (None), and a
+    configuration without agents gives None.  An output map of other values
+    than the ints 0 and 1, one per state, keeps `output_of_config`."""
+    bits = protocol.output_map
+    bit_per_state = len(bits) == protocol.state_count
+    if not bit_per_state or not all(type(b) is int and b in (0, 1) for b in bits):
+        return partial(output_of_config, protocol)
+
+    def measure(config: Config) -> int | None:
+        ones = sum(compress(config, bits))
+        if ones == 0:
+            return 0 if any(config) else None
+        return 1 if ones == sum(config) else None
+
+    return measure
 
 
 def stably_computes(
@@ -567,7 +613,15 @@ def stably_computes(
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Exhaustively check every input multiset of the given sizes: pass iff
-    every bottom-SCC configuration has defined output equal to the predicate."""
+    every bottom-SCC configuration has defined output equal to the predicate.
+
+    The inputs, their initial configurations, the predicate's values and
+    the passing results are built once per input map and kept
+    (`_start_cases`), so an input costs what `_check_bottoms` says: its
+    exploration lookup, its bottom-SCC scan and, when it fails, its result.
+    The scan reads each configuration's output from the protocol's output
+    bits (`_output_measure`).
+    """
     expr = _as_predicate(predicate)
     if not protocol.input_alphabet or protocol.input_map is None:
         raise ProtocolError(f"protocol {protocol.name!r} has no input map")
@@ -583,22 +637,11 @@ def stably_computes(
     for sym in alphabet:
         if sym not in protocol.input_map:
             raise ProtocolError(f"unknown input symbol {sym!r}")
-    targets = [protocol.input_map[sym] for sym in alphabet]
-    blank = [0] * protocol.state_count
-
-    def start(counts):
-        init = blank.copy()
-        for q, c in zip(targets, counts):
-            init[q] += c
-        return tuple(init)
-
+    targets = tuple(protocol.input_map[sym] for sym in alphabet)
     return _check_bottoms(
         protocol,
-        (
-            (label, start(counts), expected)
-            for label, counts, expected in _input_cases(expr, alphabet, sizes)
-        ),
-        partial(output_of_config, protocol),
+        _start_cases(expr, alphabet, sizes, targets, protocol.state_count),
+        _output_measure(protocol),
         "output",
         sizes,
         budget,
@@ -608,7 +651,7 @@ def stably_computes(
 @lru_cache(maxsize=16)
 def _input_cases(
     expr: PredicateExpr, alphabet: tuple[str, ...], sizes: tuple[int, ...]
-) -> tuple[tuple[tuple[tuple[str, int], ...], Config, int], ...]:
+) -> tuple[tuple[tuple[tuple[str, int], ...], tuple[int, ...], int], ...]:
     """(input label, symbol counts, predicate value) for every input multiset
     of each size, in order.  Cached: a search checks many candidates against
     the same inputs."""
@@ -617,6 +660,30 @@ def _input_cases(
         for counts in _compositions(n, len(alphabet)):
             label = tuple(zip(alphabet, counts))
             cases.append((label, counts, eval_predicate(expr, dict(label))))
+    return tuple(cases)
+
+
+@lru_cache(maxsize=64)
+def _start_cases(
+    expr: PredicateExpr,
+    alphabet: tuple[str, ...],
+    sizes: tuple[int, ...],
+    targets: tuple[int, ...],
+    state_count: int,
+) -> tuple[tuple[tuple[tuple[str, int], ...], Config, int, InputResult], ...]:
+    """`_input_cases` with each input's symbol counts placed on its initial
+    configuration (symbol i's agents start in state `targets[i]`) and with
+    the input's passing result, which every verdict on it shares.  Cached
+    per input map: a search attaches each of its k^|alphabet| input maps to
+    every dynamics in turn, 27 for k = 3 states over 3 symbols, which 64
+    entries hold without cycling; a miss re-reads `_input_cases`, which then
+    hits."""
+    cases = []
+    for label, counts, expected in _input_cases(expr, alphabet, sizes):
+        init = [0] * state_count
+        for q, c in zip(targets, counts):
+            init[q] += c
+        cases.append((label, tuple(init), expected, InputResult(label, True, None)))
     return tuple(cases)
 
 
@@ -644,7 +711,8 @@ def stable_leader(
                 for i, c in zip(pool_idx, pool_counts):
                     init[i] += c
                 if sum(init[i] for i in leader_idx) >= 1:
-                    yield tuple(zip(pool, pool_counts)), tuple(init), 1
+                    label = tuple(zip(pool, pool_counts))
+                    yield label, tuple(init), 1, InputResult(label, True, None)
 
     return _check_bottoms(
         protocol,
@@ -681,6 +749,7 @@ def iter_search_pavlovian(
     `budget` bounds both the candidate count and every exploration."""
     expr = _as_predicate(predicate)
     sizes = _check_sizes(sizes)
+    budget = _checked_budget(budget)
     if alphabet is None:
         alphabet = sorted(predicate_symbols(expr))
     alphabet = input_symbols(alphabet)

@@ -2,6 +2,7 @@
 stable computation and leader election, and the small-protocol search."""
 
 import dataclasses
+import itertools
 import random
 import sys
 import threading
@@ -24,6 +25,7 @@ from popgames import (
     initial_config,
     make_protocol,
     monte_carlo,
+    output_of_config,
     parse_predicate,
     predicate_symbols,
     reachable,
@@ -622,6 +624,17 @@ def test_verdict_as_dict():
     assert {"input": "0:2", "passed": True} in payload["inputs"]
 
 
+def test_verdicts_share_read_only_passing_results():
+    first = stably_computes(builtin("or"), "n_1 >= 1", (2, 3))
+    other = dataclasses.replace(builtin("or"), name="or-again")
+    again = stably_computes(other, "n_1 >= 1", (2, 3))
+    assert first == again and first.passed
+    for result in first.per_input:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.passed = False
+    assert first == again
+
+
 def test_input_labels_skip_zero_counts():
     verdict = stably_computes(builtin("or"), "n_1 >= 1", (2,))
     labels = {r.input_label() for r in verdict.per_input}
@@ -643,6 +656,52 @@ def test_stably_computes_validation():
 def test_stably_computes_budget_propagates():
     with pytest.raises(BudgetExceeded):
         stably_computes(builtin("or"), "n_1 >= 1", (3,), budget=2)
+
+
+SIZE_CHECKS = {
+    "stably_computes": lambda sizes: stably_computes(builtin("or"), "n_1 >= 1", sizes),
+    "stable_leader": lambda sizes: stable_leader(builtin("leader-classic"), ["L"], sizes),
+    "iter_search_pavlovian": lambda sizes: next(iter_search_pavlovian(2, "n_1 >= 1", sizes)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZE_CHECKS))
+@pytest.mark.parametrize("sizes, message", [
+    ([2.5], "population size 2.5 is not an integer"),
+    (["3"], "population size '3' is not an integer"),
+    ([2, 3.0], "population size 3.0 is not an integer"),
+    ([3, 3], "population size 3 is listed twice"),
+    ([2, 4, 2], "population size 2 is listed twice"),
+])
+def test_sizes_are_integers_listed_once(entry, sizes, message):
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        SIZE_CHECKS[entry](sizes)
+
+
+def test_sizes_are_read_as_python_ints():
+    class Size:
+        def __init__(self, n):
+            self.n = n
+
+        def __index__(self):
+            return self.n
+
+    verdict = stably_computes(builtin("or"), "n_1 >= 1", [Size(2), Size(3)])
+    assert verdict.sizes == (2, 3) and all(type(n) is int for n in verdict.sizes)
+    assert len(verdict.per_input) == 3 + 4
+
+
+@pytest.mark.parametrize("budget", ["5", 10.5, 2.5, None])
+def test_budgets_are_integers(budget):
+    message = f"^budget must be an integer, got {budget!r}$"
+    with pytest.raises(ProtocolError, match=message):
+        reachable(builtin("or"), (2, 1), budget)
+    with pytest.raises(ProtocolError, match=message):
+        stably_computes(builtin("or"), "n_1 >= 1", (3,), budget)
+    with pytest.raises(ProtocolError, match=message):
+        stable_leader(builtin("leader-classic"), ["L"], (3,), budget=budget)
+    with pytest.raises(ProtocolError, match=message):
+        next(iter_search_pavlovian(2, "n_1 >= 1", (2, 3), budget=budget))
 
 
 def test_accepts_parsed_predicates():
@@ -775,6 +834,164 @@ def test_bottom_sccs_match_per_agent_reference():
                 agents = tuple(q for q, c in enumerate(init) for _ in range(c))
                 want = oracles.project_bottoms(protocol.rules, agents, k)
                 assert got == want, (protocol.name, init)
+
+
+def symmetric_tables(k):
+    """Every symmetric deterministic rule table on k states, in the order
+    `iter_search_pavlovian` enumerates them."""
+    pairs = [(q, r) for q in range(k) for r in range(q + 1, k)]
+    for diag in itertools.product(range(k), repeat=k):
+        for off in itertools.product(itertools.product(range(k), repeat=2), repeat=len(pairs)):
+            rules = {(q, q): frozenset({(d, d)}) for q, d in enumerate(diag)}
+            for (q, r), (a, b) in zip(pairs, off):
+                rules[(q, r)] = frozenset({(a, b)})
+                rules[(r, q)] = frozenset({(b, a)})
+            yield rules
+
+
+def search_2state_candidates():
+    """Every candidate of `search --states 2 --alphabet 0,1,2`: each
+    symmetric deterministic rule table on two states, with each input map
+    and each output map."""
+    alphabet = ("0", "1", "2")
+    for rules in symmetric_tables(2):
+        for iota in itertools.product(range(2), repeat=len(alphabet)):
+            for omega in itertools.product((0, 1), repeat=2):
+                yield Protocol(
+                    name="candidate",
+                    states=("s0", "s1"),
+                    rules=rules,
+                    input_alphabet=alphabet,
+                    input_map=dict(zip(alphabet, iota)),
+                    output_map=omega,
+                )
+
+
+def projected_graph(rules, agents, k):
+    """The per-agent graph from `agents` projected to count vectors: each
+    configuration's successor configurations, and the bottom SCCs, each
+    sorted, in the order of their least configurations."""
+    graph = oracles.agent_reachable(rules, agents)
+    succ = {}
+    for node, out in graph.items():
+        succ.setdefault(oracles.counts_of(node, k), set()).update(
+            oracles.counts_of(s, k) for s in out
+        )
+    bottoms = {
+        tuple(sorted({oracles.counts_of(node, k) for node in comp}))
+        for comp in oracles.bottom_sccs_of(graph)
+    }
+    return succ, sorted(bottoms, key=lambda scc: scc[0])
+
+
+def distances(succ, start):
+    """Breadth-first distance from `start` to every configuration."""
+    dist, frontier = {start: 0}, [start]
+    for node in frontier:
+        for nxt in succ[node]:
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                frontier.append(nxt)
+    return dist
+
+
+def assert_verdict_is_the_oracles(protocol, sizes, graphs):
+    """`stably_computes(protocol, "n_1 >= 1", sizes)` against the per-agent
+    semantics, input by input: pass or fail and, for a failure, the first
+    failing configuration scanning the bottom SCCs by least configuration
+    and each one sorted, its expected and actual output, and a shortest
+    execution from the start that ends there.  `graphs` keeps the projected
+    graphs by dynamics and start.  Returns the number of inputs checked."""
+    k = protocol.state_count
+    verdict = stably_computes(protocol, "n_1 >= 1", sizes)
+    assert verdict.sizes == sizes
+    results = iter(verdict.per_input)
+    for n in sizes:
+        for counts in oracles.compositions(n, len(protocol.input_alphabet)):
+            label = tuple(zip(protocol.input_alphabet, counts))
+            expected = 1 if dict(label)["1"] >= 1 else 0
+            agents = tuple(sorted(
+                protocol.input_map[s] for s, c in label for _ in range(c)
+            ))
+            key = (tuple(sorted(protocol.rules.items())), agents)
+            if key not in graphs:
+                graphs[key] = projected_graph(protocol.rules, agents, k)
+            succ, bottoms = graphs[key]
+            failing = next(
+                (
+                    (config, actual)
+                    for scc in bottoms
+                    for config in scc
+                    if (actual := oracles.config_output(protocol.output_map, config))
+                    != expected
+                ),
+                None,
+            )
+            result = next(results)
+            assert result.input == label
+            assert result.passed == (failing is None)
+            if failing is None:
+                assert result.counterexample is None
+                continue
+            cex = result.counterexample
+            assert (cex.config, cex.actual) == failing
+            assert (cex.expected, cex.property) == (expected, "output")
+            start = oracles.counts_of(agents, k)
+            assert cex.path[0] == start and cex.path[-1] == cex.config
+            assert all(b in succ[a] for a, b in zip(cex.path, cex.path[1:]))
+            assert len(cex.path) - 1 == distances(succ, start)[cex.config]
+    assert next(results, None) is None
+    assert verdict.passed == all(r.passed for r in verdict.per_input)
+    return len(verdict.per_input)
+
+
+def test_search_2state_verdicts_match_the_per_agent_semantics():
+    """Every 2-state candidate of `search --alphabet 0,1,2` on n_1 >= 1."""
+    graphs = {}
+    checked = sum(
+        assert_verdict_is_the_oracles(protocol, (2, 3, 4), graphs)
+        for protocol in search_2state_candidates()
+    )
+    assert checked == 512 * (6 + 10 + 15)
+
+
+def test_3state_verdicts_match_the_per_agent_semantics():
+    """Every 199th symmetric deterministic 3-state dynamics, with inputs 0
+    and 1 on states 0 and 1, under every output map: these graphs often
+    hold several bottom SCCs, so the scan order shows."""
+    graphs = {}
+    for rules in itertools.islice(symmetric_tables(3), 0, None, 199):
+        for omega in itertools.product((0, 1), repeat=3):
+            protocol = Protocol(
+                name="sample",
+                states=("s0", "s1", "s2"),
+                rules=rules,
+                input_alphabet=("0", "1"),
+                input_map={"0": 0, "1": 1},
+                output_map=omega,
+            )
+            assert_verdict_is_the_oracles(protocol, (2, 3, 4), graphs)
+
+
+def test_output_measure_is_output_of_config():
+    """The output read from the output bits equals `output_of_config` on
+    every configuration of 2 to 6 agents (and the empty one), for every 0/1
+    output map on up to 3 states; other output maps keep `output_of_config`."""
+    for k in (1, 2, 3):
+        states = tuple(f"q{i}" for i in range(k))
+        for bits in itertools.product((0, 1), repeat=k):
+            protocol = Protocol(name="bits", states=states, rules={}, output_map=bits)
+            measure = verify._output_measure(protocol)
+            for n in (0, 2, 3, 4, 5, 6):
+                for config in oracles.compositions(n, k):
+                    want = output_of_config(protocol, config)
+                    got = measure(config)
+                    assert (type(got), got) == (type(want), want), (bits, config)
+    # attach_io takes any bit equal to 0 or 1, so True and 1.0 reach here too
+    flags = make_protocol("flags", ("a", "b"), [], outputs={"a": True, "b": 0.0})
+    measure = verify._output_measure(flags)
+    assert measure((2, 0)) is True and output_of_config(flags, (2, 0)) is True
+    assert repr(measure((0, 2))) == repr(output_of_config(flags, (0, 2))) == "0.0"
 
 
 def test_simulation_agrees_with_verification(kernels_warm):
