@@ -95,10 +95,7 @@ def _tables(protocol):
                 firsts.append(a)
                 seconds.append(b)
             offsets.append(len(firsts))
-    if protocol.output_map is None:
-        out_bits = [-1] * n
-    else:
-        out_bits = [int(bit) for bit in protocol.output_map]
+    out_bits = [-1] * n if protocol.output_map is None else protocol.output_map
     return tuple(map(kernel_input, (offsets, firsts, seconds, identity_only, out_bits)))
 
 
@@ -153,14 +150,13 @@ else:
 
 @njit(cache=True)
 def _config_output(counts, out_bits):
-    """0/1 when all present states share one output bit, else -1."""
+    """0/1 when all present states share one output bit, else -1.  Each bit
+    is 0 or 1: only a window rule calls it, which `sim` takes only with outputs."""
     seen = -1
     for q in range(len(counts)):
         if counts[q] == 0:
             continue
         bit = out_bits[q]
-        if bit < 0:
-            return -1
         if seen < 0:
             seen = bit
         elif seen != bit:

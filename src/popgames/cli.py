@@ -139,6 +139,8 @@ def _witness_game(protocol: Protocol, witness: Witness) -> str:
 
 
 def cmd_check(args) -> int:
+    if args.mode is not None and not args.pavlovian:
+        raise ProtocolError("--mode applies only with --pavlovian")
     protocol = parse_protocol(_read(args.file))
     deterministic = is_deterministic(protocol)
     symmetric = is_symmetric(protocol)
@@ -223,13 +225,14 @@ def _resolve_init(args, protocol: Protocol) -> tuple:
     given = [spec for spec in (args.input, args.init_states) if spec]
     if len(given) != 1:
         raise ProtocolError("exactly one of --input / --init-states is required")
+    all_of = (args.init_states or "").startswith("all-")
+    if all_of != (args.size is not None):
+        raise ProtocolError("--size applies only to --init-states all-<state>, which needs it")
     if args.input:
         counts = _parse_counts(args.input, "--input")
         return initial_config(protocol, counts)
     spec = args.init_states
-    if spec.startswith("all-"):
-        if not args.size:
-            raise ProtocolError("--init-states all-<state> needs --size")
+    if all_of:
         return config_of(protocol, {spec[4:]: args.size})
     return config_of(protocol, _parse_counts(spec, "--init-states"))
 
@@ -313,6 +316,8 @@ def cmd_verify(args) -> int:
     given = [spec for spec in (args.predicate, args.leaders) if spec]
     if len(given) != 1:
         raise ProtocolError("exactly one of --predicate / --leaders is required")
+    if args.initial_states is not None and not args.leaders:
+        raise ProtocolError("--initial-states applies only with --leaders")
     if args.predicate:
         verdict = stably_computes(protocol, args.predicate, sizes, budget)
     else:

@@ -14,6 +14,7 @@ import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from operator import add
 
 from . import _kernels
@@ -62,7 +63,10 @@ class Protocol:
     """A population protocol with a completed (total) transition relation.
 
     `input_map` and `output_map` may be absent: dynamics derived from a game
-    carry no input/output attachment until one is supplied explicitly.
+    carry no input/output attachment until one is supplied explicitly.  An
+    output map holds one int, 0 or 1, per state; an input map binds exactly
+    the symbols of `input_alphabet` (none without a map) to state indices.
+    Building a protocol, `dataclasses.replace` too, checks both maps.
     """
 
     name: str
@@ -71,6 +75,28 @@ class Protocol:
     input_alphabet: tuple[str, ...] = ()
     input_map: Mapping[str, int] | None = None
     output_map: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        n = len(self.states)
+        inputs = self.input_map or {}
+        for sym in inputs:
+            if sym not in self.input_alphabet:
+                raise ProtocolError(f"input {sym!r} is not in the input alphabet")
+        for sym in self.input_alphabet:
+            if sym not in inputs:
+                raise ProtocolError(f"input map misses symbol {sym!r}")
+            q = inputs[sym]
+            if type(q) is not int or not 0 <= q < n:
+                raise ProtocolError(f"input {sym!r} bound to {q!r}, not a state index")
+        bits = self.output_map
+        if bits is not None:
+            for state, bit in zip(self.states, bits):
+                if type(bit) is not int or bit not in (0, 1):
+                    raise ProtocolError(f"output bit for {state!r} must be 0 or 1, got {bit!r}")
+            if len(bits) < n:
+                raise ProtocolError(f"output map misses state {self.states[len(bits)]!r}")
+            if len(bits) > n:
+                raise ProtocolError(f"output map has {len(bits)} bits for {n} states")
 
     def index(self, state: str) -> int:
         try:
@@ -201,9 +227,9 @@ def attach_io(
     """`protocol` with the given maps attached, each checked whole.
 
     `inputs` binds input symbols (see `input_symbols`) to state names and
-    `outputs` every state name to its bit, 0 or 1.  Either is a mapping or a
-    sequence of (key, value) pairs, in which no key may repeat; None leaves
-    that map as it is.
+    `outputs` every state name to its bit, the int 0 or 1 (which `Protocol`
+    checks).  Either is a mapping or a sequence of (key, value) pairs, in
+    which no key may repeat; None leaves that map as it is.
     """
     changes = {}
     if inputs is not None:
@@ -220,8 +246,6 @@ def attach_io(
         for state, bit in outputs.items() if isinstance(outputs, Mapping) else outputs:
             if state not in protocol.states:
                 raise ProtocolError(f"output for unknown state {state!r}")
-            if bit not in (0, 1):
-                raise ProtocolError(f"output bit for {state!r} must be 0 or 1, got {bit!r}")
             if state in bits:
                 raise ProtocolError(f"duplicate output for state {state!r}")
             bits[state] = bit
@@ -273,6 +297,19 @@ def config_of(protocol: Protocol, state_multiset: Mapping[str, int]) -> Config:
     return _checked_config(protocol, counts)
 
 
+def _checked_int(value, what: str, minimum: int | None = None) -> int:
+    """`value` as a Python int by `operator.index` (2.5 and "5" are refused,
+    not truncated or parsed), and not below `minimum` when one is given;
+    else ProtocolError naming `what`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ProtocolError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ProtocolError(f"{what} must be >= {minimum}, got {n}")
+    return n
+
+
 def _checked_config(protocol: Protocol, counts: Sequence) -> Config:
     """`counts`, one per state, as a configuration of at least 2 agents:
     each count a Python int (by `operator.index`, so 2.5 is refused rather
@@ -322,13 +359,16 @@ def successors(protocol: Protocol, config: Config) -> set[Config]:
 
 
 def output_of_config(protocol: Protocol, config: Config) -> int | None:
-    """0 or 1 when all individual outputs agree, None when mixed or empty."""
-    if protocol.output_map is None:
+    """All agents in states with output bit 1: 1; none: 0; some, or no agents: None."""
+    bits = protocol.output_map
+    if bits is None:
         raise ProtocolError(f"protocol {protocol.name!r} has no output map")
-    seen = {protocol.output_map[q] for q, c in enumerate(config) if c > 0}
-    if len(seen) == 1:
-        return seen.pop()
-    return None
+    if len(config) != len(bits):
+        raise ProtocolError(f"configuration {config} needs one count per state")
+    ones = sum(compress(config, bits))
+    if ones == 0:
+        return 0 if any(config) else None
+    return 1 if ones == sum(config) else None
 
 
 def histogram(protocol: Protocol, vertex_states: Iterable[int]) -> Config:

@@ -18,6 +18,7 @@ A built-in stop rule is checked before the step budget, so max_steps=0 on a
 silent start reports stabilized with 0 steps; record_trace changes only the
 trace field of the result.  A target must be a configuration of the
 population, max_steps must be >= 0, and interaction graphs must be connected.
+max_steps, seed and trials must be integers; a seed is taken mod 2^64.
 
 Equal (protocol, init, seed, max_steps, stop) always reproduce the same
 RunResult, whichever kernel backend is active.
@@ -35,6 +36,7 @@ from .core import (
     Protocol,
     ProtocolError,
     _checked_config,
+    _checked_int,
     config_of,
     histogram,
     output_of_config,
@@ -116,7 +118,7 @@ class StatsReport:
 
 
 def _stop_params(
-    protocol: Protocol, stop: StopRule, out_bits: Sequence[int], population: int
+    protocol: Protocol, stop: StopRule, population: int
 ) -> tuple[int, int, list[int]]:
     n = protocol.state_count
     target = [0] * n
@@ -125,13 +127,8 @@ def _stop_params(
     if stop == "silent":
         return k.STOP_SILENT, 0, target
     if isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "window":
-        try:
-            window = operator.index(stop[1])
-        except TypeError:  # 2.5 or "3": refused, never truncated or parsed
-            raise ProtocolError(f"window must be an integer, got {stop[1]!r}") from None
-        if window < 1:
-            raise ProtocolError("window must be >= 1")
-        if min(out_bits) < 0:
+        window = _checked_int(stop[1], "window", 1)
+        if protocol.output_map is None:
             raise ProtocolError("window stop rule needs a total output map")
         return k.STOP_WINDOW, window, target
     if isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
@@ -169,8 +166,8 @@ def run(
 ) -> RunResult:
     """Execute one run.  `init` is a count vector or {state: count} mapping;
     with `graph` it may instead be a per-vertex state-name sequence."""
-    if max_steps < 0:
-        raise ProtocolError(f"max_steps must be >= 0, got {max_steps}")
+    max_steps = _checked_int(max_steps, "max_steps", 0)
+    seed = _checked_int(seed, "seed")
     offsets, succ_a, succ_b, identity_only, out_bits = protocol._kernel_tables
 
     states = None
@@ -189,7 +186,10 @@ def run(
         if sum(counts) != graph.vertex_count:
             raise ProtocolError(f"population {sum(counts)} != {graph.vertex_count} vertices")
         states = counts_to_vertex_states(counts)
-    stop_mode, window, target = _stop_params(protocol, stop, out_bits, sum(counts))
+    stop_mode, window, target = _stop_params(protocol, stop, sum(counts))
+    # only the window rule reads the output bookkeeping
+    out = output_of_config(protocol, counts) if stop_mode == k.STOP_WINDOW else None
+    prev_out, run_len = (-1, 0) if out is None else (out, 1)
 
     rng = k.seed_state(seed)
     counts = k.kernel_input(counts)
@@ -202,10 +202,6 @@ def run(
         kernel = k.run_graph
         states = k.kernel_input(states)
         kernel_args = (states, counts, k.kernel_input(graph.edges), *kernel_args)
-    # only the window rule reads the output bookkeeping
-    prev_out = int(k._config_output(counts, out_bits)) if stop_mode == k.STOP_WINDOW else -1
-    run_len = 1 if prev_out >= 0 else 0
-
     # One step per kernel call while a trace is kept or a callable stop rule
     # looks at it; otherwise the whole budget in one call.  The kernel is
     # always entered, so its built-in stop rule is checked even at max_steps=0.
@@ -228,11 +224,7 @@ def run(
             break
 
     final_config = tuple(map(int, counts))
-    output = (
-        output_of_config(protocol, final_config)
-        if protocol.output_map is not None
-        else None
-    )
+    output = None if protocol.output_map is None else output_of_config(protocol, final_config)
     return RunResult(
         steps=steps,
         stabilized=bool(stabilized),
@@ -274,8 +266,8 @@ def monte_carlo(
 ) -> StatsReport:
     """Independent trials with per-trial seeds drawn from the master seed's
     splitmix64 stream; aggregation is order-independent."""
-    if trials < 1:
-        raise ProtocolError("trials must be >= 1")
+    trials = _checked_int(trials, "trials", 1)
+    seed = _checked_int(seed, "seed")
     master = k.seed_state(seed)
     trial_seeds = [int(k.next_u64(master)) for _ in range(trials)]
     runs = tuple(

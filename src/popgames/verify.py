@@ -30,7 +30,6 @@ import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import compress
 from types import MappingProxyType
 
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     Protocol,
     ProtocolError,
     _checked_config,
+    _checked_int,
     config_to_dict,
     input_symbols,
     output_of_config,
@@ -388,15 +388,6 @@ _explored = _Explored(None)
 _explored_lock = threading.Lock()
 
 
-def _checked_budget(budget) -> int:
-    """`budget` as a Python int (by `operator.index`, so 2.5 and "5" are
-    refused rather than used as given); else ProtocolError."""
-    try:
-        return operator.index(budget)
-    except TypeError:
-        raise ProtocolError(f"budget must be an integer, got {budget!r}") from None
-
-
 def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) -> ConfigGraph:
     """Breadth-first closure of one initial configuration under single
     interactions, each configuration numbered as it is first reached;
@@ -409,7 +400,7 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
     returns the same graph, whatever input and output maps the protocol has.
     """
     global _explored
-    budget = _checked_budget(budget)
+    budget = _checked_int(budget, "budget")
     init = _checked_config(protocol, init)
     moves = protocol.moves
     memo = _explored
@@ -563,7 +554,6 @@ def _check_bottoms(
     scan order, so `bottom_sccs` itself adds only its call per input: it
     stays the public call that perfbench counts per input.
     """
-    budget = _checked_budget(budget)
     results = []
     passed = True
     for label, init, expected, passing in cases:
@@ -586,26 +576,6 @@ def _check_bottoms(
     return Verdict(passed, tuple(results), sizes)
 
 
-def _output_measure(protocol: Protocol) -> Callable[[Config], int | None]:
-    """`output_of_config(protocol, config)` as a function of the
-    configuration, read from the output bits: the agents in states that
-    output 1 are all of them (1), none of them (0), or some (None), and a
-    configuration without agents gives None.  An output map of other values
-    than the ints 0 and 1, one per state, keeps `output_of_config`."""
-    bits = protocol.output_map
-    bit_per_state = len(bits) == protocol.state_count
-    if not bit_per_state or not all(type(b) is int and b in (0, 1) for b in bits):
-        return partial(output_of_config, protocol)
-
-    def measure(config: Config) -> int | None:
-        ones = sum(compress(config, bits))
-        if ones == 0:
-            return 0 if any(config) else None
-        return 1 if ones == sum(config) else None
-
-    return measure
-
-
 def stably_computes(
     protocol: Protocol,
     predicate,
@@ -619,14 +589,10 @@ def stably_computes(
     the passing results are built once per input map and kept
     (`_start_cases`), so an input costs what `_check_bottoms` says: its
     exploration lookup, its bottom-SCC scan and, when it fails, its result.
-    The scan reads each configuration's output from the protocol's output
-    bits (`_output_measure`).
     """
     expr = _as_predicate(predicate)
-    if not protocol.input_alphabet or protocol.input_map is None:
+    if not protocol.input_alphabet:
         raise ProtocolError(f"protocol {protocol.name!r} has no input map")
-    if protocol.output_map is None:
-        raise ProtocolError(f"protocol {protocol.name!r} has no output map")
     unknown = predicate_symbols(expr) - set(protocol.input_alphabet)
     if unknown:
         raise ProtocolError(
@@ -634,14 +600,11 @@ def stably_computes(
         )
     sizes = _check_sizes(sizes)
     alphabet = tuple(protocol.input_alphabet)
-    for sym in alphabet:
-        if sym not in protocol.input_map:
-            raise ProtocolError(f"unknown input symbol {sym!r}")
     targets = tuple(protocol.input_map[sym] for sym in alphabet)
     return _check_bottoms(
         protocol,
         _start_cases(expr, alphabet, sizes, targets, protocol.state_count),
-        _output_measure(protocol),
+        partial(output_of_config, protocol),
         "output",
         sizes,
         budget,
@@ -695,13 +658,16 @@ def stable_leader(
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Check that every allowed initial multiset with at least one leader
-    drives every bottom-SCC configuration to exactly one leader."""
+    drives every bottom-SCC configuration to exactly one leader; with no
+    leader among the allowed initial states, ProtocolError."""
     leader_idx = {protocol.index(s) for s in leader_states}
     pool = tuple(initial_states) if initial_states is not None else protocol.states
     pool_idx = [protocol.index(s) for s in pool]
     repeated = [s for i, s in enumerate(pool) if s in pool[:i]]
     if repeated:
         raise ProtocolError(f"initial state {repeated[0]!r} is listed twice")
+    if leader_idx.isdisjoint(pool_idx):
+        raise ProtocolError(f"no start has a leader: none of {list(pool)} is a leader")
     sizes = _check_sizes(sizes)
 
     def cases():
@@ -749,7 +715,7 @@ def iter_search_pavlovian(
     `budget` bounds both the candidate count and every exploration."""
     expr = _as_predicate(predicate)
     sizes = _check_sizes(sizes)
-    budget = _checked_budget(budget)
+    budget = _checked_int(budget, "budget")
     if alphabet is None:
         alphabet = sorted(predicate_symbols(expr))
     alphabet = input_symbols(alphabet)

@@ -263,6 +263,22 @@ def test_simulate_init_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_options_the_chosen_path_never_reads_are_refused(tmp_path, capsys):
+    pd = protocol_file(tmp_path, builtin("pavlov-pd"), "pd.txt")
+    or_path = protocol_file(tmp_path, builtin("or"), "or.txt")
+    cases = [
+        (("simulate", pd, "--init-states", "C:2,D:1", "--size", "50"), "--size"),
+        (("simulate", or_path, "--input", "0:3", "--size", "50"), "--size"),
+        (("verify", or_path, "--predicate", "n_1 >= 1", "--initial-states", "0"),
+         "--initial-states"),
+        (("check", or_path, "--mode", "subset"), "--mode"),
+    ]
+    for argv, option in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"{option} applies only" in err, argv
+
+
 def test_simulate_stop_rules(tmp_path, capsys):
     maj = protocol_file(tmp_path, builtin("majority"), "maj.txt")
     code, out, _ = run_cli(
@@ -388,6 +404,13 @@ def test_verify_leader_election(tmp_path, capsys):
         "--initial-states", "L1,L1")
     assert (code, out) == (2, "")
     assert "initial state 'L1' is listed twice" in err
+
+    classic = protocol_file(tmp_path, builtin("leader-classic"), "lc.txt")
+    code, out, err = run_cli(
+        capsys, "verify", classic, "--leaders", "L", "--initial-states", "N",
+        "--sizes", "2..4")
+    assert (code, out) == (2, "")
+    assert "no start has a leader" in err
 
 
 def test_verify_property_flags(tmp_path, capsys):

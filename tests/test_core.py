@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -163,6 +165,9 @@ def test_output_of_config():
     assert output_of_config(maj, config_of(maj, {"Y": 1, "N": 1})) is None
     p = builtin("or")
     assert output_of_config(p, (0, 5)) == 1
+    for config in ((1,), (1, 1, 1), (0, 2, 0)):
+        with pytest.raises(ProtocolError, match="needs one count per state"):
+            output_of_config(p, config)
 
 
 def test_output_of_config_requires_output_map():
@@ -216,10 +221,45 @@ def test_attach_io_checks_pairs_once_each():
         (None, [("a", 0)], "output map misses state 'b'"),
         (None, [("a", 0), ("c", 1)], "output for unknown state 'c'"),
         (None, [("a", "1"), ("b", 0)], "output bit for 'a' must be 0 or 1"),
+        (None, [("a", 1), ("b", 0.0)], "output bit for 'b' must be 0 or 1, got 0.0"),
     ]
     for inputs, outputs, message in refused:
         with pytest.raises(ProtocolError, match=message):
             attach_io(bare, inputs, outputs)
+
+
+def test_protocol_checks_its_maps_when_built_or_replaced():
+    """Every output bit is the int 0 or 1, one per state, and the input map
+    binds exactly the alphabet's symbols to state indices; `Protocol(...)`
+    and `dataclasses.replace` refuse anything else, naming the state or
+    symbol, so no later reader meets a bare IndexError or KeyError."""
+    fields = dict(
+        name="p", states=("a", "b"), rules=complete({}, 2),
+        input_alphabet=("0", "1"), input_map={"0": 0, "1": 1}, output_map=(0, 1),
+    )
+    good = Protocol(**fields)
+    assert Protocol(name="p", states=("a",), rules=complete({}, 1)).input_map is None
+    refused = [
+        (dict(output_map=(True, 0)), "output bit for 'a' must be 0 or 1, got True"),
+        (dict(output_map=(0, 1.0)), "output bit for 'b' must be 0 or 1, got 1.0"),
+        (dict(output_map=(0.0, 1)), "output bit for 'a' must be 0 or 1, got 0.0"),
+        (dict(output_map=(0, "1")), "output bit for 'b' must be 0 or 1, got '1'"),
+        (dict(output_map=(2, 0)), "output bit for 'a' must be 0 or 1, got 2"),
+        (dict(output_map=(1,)), "output map misses state 'b'"),
+        (dict(output_map=(0, 1, 1)), "output map has 3 bits for 2 states"),
+        (dict(input_map={"0": 0}), "input map misses symbol '1'"),
+        (dict(input_map={"0": 0, "1": 1, "2": 0}), "input '2' is not in the input alphabet"),
+        (dict(input_map={"0": 0, "1": 2}), "input '1' bound to 2, not a state index"),
+        (dict(input_map={"0": -1, "1": 1}), "input '0' bound to -1, not a state index"),
+        (dict(input_map={"0": 0, "1": 1.0}), "input '1' bound to 1.0, not a state index"),
+        (dict(input_map={"0": 0, "1": "b"}), "input '1' bound to 'b', not a state index"),
+        (dict(input_map=None), "input map misses symbol '0'"),
+    ]
+    for change, message in refused:
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            Protocol(**{**fields, **change})
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            dataclasses.replace(good, **change)
 
 
 def test_config_of_names_a_negative_state():

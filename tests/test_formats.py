@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from popgames import (
     print_protocol,
     symmetrize,
 )
+from popgames.core import attach_io
 from popgames.formats import parse_graph_file, parse_rational
 from popgames.sim import InteractionGraph
 
@@ -52,6 +54,26 @@ def test_round_trip_symmetrized_and_derived():
     assert parse_protocol(print_protocol(sym)) == sym
     bare = derive_protocol(builtin("pd"))
     assert parse_protocol(print_protocol(bare)) == bare
+
+
+def test_only_int_bits_are_kept_and_kept_bits_print_text_that_parses_back():
+    """`make_protocol` and `attach_io` keep an output bit only when it is the
+    int 0 or 1, which a file can hold; True, 1.0 and 0.0 are refused, not
+    kept to be printed as text the parser refuses."""
+    bare = make_protocol("flags", ("a", "b"), [("a", "b", "b", "b")], inputs={"0": "a"})
+    for a, b in itertools.product((0, 1, True, False, 1.0, 0.0), repeat=2):
+        outputs = {"a": a, "b": b}
+        if type(a) is int and type(b) is int:
+            p = attach_io(bare, outputs=outputs)
+            assert parse_protocol(print_protocol(p)) == p
+            assert make_protocol(
+                "flags", ("a", "b"), [("a", "b", "b", "b")], {"0": "a"}, outputs
+            ) == p
+            continue
+        with pytest.raises(ProtocolError, match="must be 0 or 1"):
+            attach_io(bare, outputs=outputs)
+        with pytest.raises(ProtocolError, match="must be 0 or 1"):
+            make_protocol("flags", ("a", "b"), [], outputs=outputs)
 
 
 def test_print_omits_identity_rules():

@@ -185,6 +185,26 @@ def test_negative_max_steps_rejected():
         monte_carlo(pd, {"D": 3}, trials=2, max_steps=-1)
 
 
+def test_run_and_monte_carlo_read_their_numbers_as_integers():
+    """max_steps, seed and trials are refused, naming the argument, unless
+    they are integers: 2.5 is not truncated and "3" is not parsed."""
+    pd = builtin("pavlov-pd")
+    for bad in (2.5, "3"):
+        for kwargs in (dict(max_steps=bad), dict(seed=bad)):
+            name = next(iter(kwargs))
+            with pytest.raises(ProtocolError, match=f"{name} must be an integer"):
+                run(pd, {"D": 3}, stop=None, **kwargs)
+            with pytest.raises(ProtocolError, match=f"{name} must be an integer"):
+                monte_carlo(pd, {"D": 3}, trials=2, **kwargs)
+        with pytest.raises(ProtocolError, match="trials must be an integer"):
+            monte_carlo(pd, {"D": 3}, trials=bad)
+    # a negative seed is taken mod 2^64
+    assert run(pd, {"D": 3}, seed=-1) == run(pd, {"D": 3}, seed=2**64 - 1)
+    assert monte_carlo(pd, {"D": 3}, trials=3, seed=-1).runs == monte_carlo(
+        pd, {"D": 3}, trials=3, seed=2**64 - 1
+    ).runs
+
+
 def _never(protocol, trace):
     return False
 

@@ -651,6 +651,9 @@ def test_stably_computes_validation():
     bare = builtin("leader-pavlovian")  # no input or output map
     with pytest.raises(ProtocolError):
         stably_computes(bare, "n_1 >= 1", (3,))
+    silent = dataclasses.replace(builtin("or"), output_map=None)
+    with pytest.raises(ProtocolError, match="protocol 'or' has no output map"):
+        stably_computes(silent, "n_1 >= 1", (3,))
 
 
 def test_stably_computes_budget_propagates():
@@ -728,6 +731,15 @@ def test_stable_leader_refuses_a_repeated_initial_state():
     p = builtin("leader-pavlovian")
     with pytest.raises(ProtocolError, match="initial state 'L1' is listed twice"):
         stable_leader(p, ("L1", "L2"), (3,), initial_states=("L1", "N", "L1"))
+
+
+def test_stable_leader_refuses_to_check_no_start():
+    """Without a leader among the allowed initial states no start has a
+    leader, and a verdict over no input would pass having checked nothing."""
+    p = builtin("leader-classic")
+    for leaders, pool in (([], None), (["L"], ["N"]), ([], ["L", "N"])):
+        with pytest.raises(ProtocolError, match="no start has a leader"):
+            stable_leader(p, leaders, range(2, 5), initial_states=pool)
 
 
 def test_pavlovian_leader_election_small_sizes():
@@ -973,25 +985,20 @@ def test_3state_verdicts_match_the_per_agent_semantics():
             assert_verdict_is_the_oracles(protocol, (2, 3, 4), graphs)
 
 
-def test_output_measure_is_output_of_config():
-    """The output read from the output bits equals `output_of_config` on
-    every configuration of 2 to 6 agents (and the empty one), for every 0/1
-    output map on up to 3 states; other output maps keep `output_of_config`."""
+def test_output_of_config_is_the_set_rule():
+    """`output_of_config` reads the output bits and gives what the set rule
+    of `oracles.config_output` gives (the one bit every present agent
+    shares, else None) on every configuration of 2 to 6 agents and the
+    empty one, for every 0/1 output map on up to 3 states."""
     for k in (1, 2, 3):
         states = tuple(f"q{i}" for i in range(k))
         for bits in itertools.product((0, 1), repeat=k):
             protocol = Protocol(name="bits", states=states, rules={}, output_map=bits)
-            measure = verify._output_measure(protocol)
             for n in (0, 2, 3, 4, 5, 6):
                 for config in oracles.compositions(n, k):
-                    want = output_of_config(protocol, config)
-                    got = measure(config)
+                    want = oracles.config_output(bits, config)
+                    got = output_of_config(protocol, config)
                     assert (type(got), got) == (type(want), want), (bits, config)
-    # attach_io takes any bit equal to 0 or 1, so True and 1.0 reach here too
-    flags = make_protocol("flags", ("a", "b"), [], outputs={"a": True, "b": 0.0})
-    measure = verify._output_measure(flags)
-    assert measure((2, 0)) is True and output_of_config(flags, (2, 0)) is True
-    assert repr(measure((0, 2))) == repr(output_of_config(flags, (0, 2))) == "0.0"
 
 
 def test_simulation_agrees_with_verification(kernels_warm):
