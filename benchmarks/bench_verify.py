@@ -2,7 +2,11 @@
 
     python3 benchmarks/bench_verify.py [--repeats 3]
 
-Four workloads, each timed best of `--repeats` after its inputs are built:
+Four workloads, each timed `--repeats` times after its inputs are built.
+Each reports its rate at the best repeat and at the median, with the rates
+at the quartiles of the repeats' times: on a shared host single repeats
+swing widely, and the quartiles show how far a change has to move the
+median to be seen.
 
   verify    stably_computes(symmetrize(majority), "n_0 >= n_1", sizes 2..10),
             in configurations explored per second (21,489 configurations)
@@ -37,6 +41,7 @@ import itertools
 import json
 import time
 
+from bench_sim import summary
 from popgames import (
     Protocol,
     builtin,
@@ -60,23 +65,23 @@ SEARCH_3STATE = ["search", "--states", "3", "--predicate", "n_1 >= 1",
 SEARCH_3STATE_SHA256 = "7b9fda9015b7e49fa8799737d60279b136a8becca6455c1c7c2092967eed81eb"
 
 
-def best_of(repeats: int, work, before=None) -> tuple[float, object]:
-    """Best time of `repeats` calls of `work`, each after an untimed
-    `before()` when one is given, and the last call's result."""
-    best, result = None, None
+def timed(repeats: int, work, before=None) -> tuple[list[float], object]:
+    """The seconds of each of `repeats` calls of `work`, each after an
+    untimed `before()` when one is given, and the last call's result."""
+    times, result = [], None
     for _ in range(repeats):
         if before is not None:
             before()
         t0 = time.perf_counter()
         result = work()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+        times.append(time.perf_counter() - t0)
+    return times, result
 
 
 def time_verdict(predicate: str, repeats: int):
     """Configurations explored by stably_computes(symmetrize(majority),
-    `predicate`, sizes 2..10), the best time, the protocol and the verdict."""
+    `predicate`, sizes 2..10), the repeats' times, the protocol and the
+    verdict."""
     protocol = symmetrize(builtin("majority"))
     alphabet = protocol.input_alphabet
     configurations = 0
@@ -86,29 +91,29 @@ def time_verdict(predicate: str, repeats: int):
                 start = initial_config(protocol, dict(zip(alphabet, counts)))
                 configurations += len(reachable(protocol, start).configs)
     other = builtin("or")
-    seconds, verdict = best_of(
+    times, verdict = timed(
         repeats,
         lambda: stably_computes(protocol, predicate, VERIFY_SIZES),
         before=lambda: reachable(other, (1, 1)),
     )
-    return configurations, seconds, protocol, verdict
+    return configurations, times, protocol, verdict
 
 
-def verify_workload(repeats: int) -> tuple[int, float]:
-    configurations, seconds, _, verdict = time_verdict(PREDICATE, repeats)
+def verify_workload(repeats: int) -> tuple[int, list[float]]:
+    configurations, times, _, verdict = time_verdict(PREDICATE, repeats)
     if not verdict.passed:
         raise RuntimeError("symmetrized majority failed its predicate")
-    return configurations, seconds
+    return configurations, times
 
 
-def failing_workload(repeats: int) -> tuple[int, float]:
-    configurations, seconds, protocol, verdict = time_verdict(FAILING_PREDICATE, repeats)
+def failing_workload(repeats: int) -> tuple[int, list[float]]:
+    configurations, times, protocol, verdict = time_verdict(FAILING_PREDICATE, repeats)
     text = json.dumps(verdict.as_dict(protocol), indent=2)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != FAILING_VERDICT_SHA256:
         raise RuntimeError(
             f"failing verdict has sha256 {digest}, expected {FAILING_VERDICT_SHA256}")
-    return configurations, seconds
+    return configurations, times
 
 
 def three_state_dynamics() -> list[Protocol]:
@@ -139,30 +144,30 @@ def pavcheck_record(result) -> str:
     })
 
 
-def pavcheck_workload(repeats: int) -> tuple[int, float]:
+def pavcheck_workload(repeats: int) -> tuple[int, list[float]]:
     protocols = three_state_dynamics()
-    seconds, results = best_of(
+    times, results = timed(
         repeats, lambda: [check_pavlovian(p, EXACT) for p in protocols])
     records = "\n".join(pavcheck_record(r) for r in results)
     digest = hashlib.sha256(records.encode("utf-8")).hexdigest()
     if digest != PAVCHECK_3STATE_SHA256:
         raise RuntimeError(
             f"pavcheck records have sha256 {digest}, expected {PAVCHECK_3STATE_SHA256}")
-    return len(protocols), seconds
+    return len(protocols), times
 
 
-def search_workload(repeats: int) -> tuple[int, float]:
+def search_workload(repeats: int) -> tuple[int, list[float]]:
     def search() -> str:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             popgames_main(SEARCH_3STATE)
         return out.getvalue()
 
-    seconds, output = best_of(repeats, search)
+    times, output = timed(repeats, search)
     digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
     if digest != SEARCH_3STATE_SHA256:
         raise RuntimeError(f"search JSON has sha256 {digest}, expected {SEARCH_3STATE_SHA256}")
-    return candidate_count(3, 1), seconds
+    return candidate_count(3, 1), times
 
 
 def main() -> None:
@@ -171,15 +176,21 @@ def main() -> None:
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(f"{'workload':<10} {'work':>8} {'best s':>8} {'per second':>12}")
+    print(f"{args.repeats} repeats: work per second at the best repeat, the median,"
+          " and the quartiles")
+    print(f"{'workload':<10} {'work':>8} {'best s':>8} {'best':>10} {'median':>10}"
+          f" {'quartiles':>21}")
     for name, unit, workload in (
         ("verify", "configurations", verify_workload),
         ("failing", "configurations", failing_workload),
         ("pavcheck", "protocols", pavcheck_workload),
         ("search", "candidates", search_workload),
     ):
-        work, seconds = workload(args.repeats)
-        print(f"{name:<10} {work:>8} {seconds:>8.3f} {work / seconds:>12,.0f}  {unit}/s")
+        work, times = workload(args.repeats)
+        stats = summary(times)
+        best, median, q1, q3 = (work / stats[key] for key in ("best", "median", "q3", "q1"))
+        print(f"{name:<10} {work:>8} {stats['best']:>8.3f} {best:>10,.0f} {median:>10,.0f}"
+              f" {q1:>10,.0f}-{q3:<10,.0f} {unit}/s")
 
 
 if __name__ == "__main__":

@@ -229,7 +229,9 @@ def attach_io(
     `inputs` binds input symbols (see `input_symbols`) to state names and
     `outputs` every state name to its bit, the int 0 or 1 (which `Protocol`
     checks).  Either is a mapping or a sequence of (key, value) pairs, in
-    which no key may repeat; None leaves that map as it is.
+    which no key may repeat; None leaves that map as it is.  Binding no
+    symbols gives the input map None, as a protocol file without an
+    `inputs` line does.
     """
     changes = {}
     if inputs is not None:
@@ -240,7 +242,7 @@ def attach_io(
             if state not in protocol.states:
                 raise ProtocolError(f"input {sym!r} bound to unknown state {state!r}")
             input_map[sym] = protocol.states.index(state)
-        changes.update(input_alphabet=alphabet, input_map=input_map)
+        changes.update(input_alphabet=alphabet, input_map=input_map or None)
     if outputs is not None:
         bits: dict[str, int] = {}
         for state, bit in outputs.items() if isinstance(outputs, Mapping) else outputs:

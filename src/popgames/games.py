@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .core import Pair, Protocol, ProtocolError, check_name
@@ -60,40 +61,73 @@ def make_game(
     return Game(name=name, strategies=strats, payoff=rows, threshold=Fraction(threshold))
 
 
-def _agent_moves(game: Game, mode: str) -> dict[Pair, list[int]]:
-    """Per-agent successor choices for the row agent of each ordered pair.
+# Bounds of the two per-column caches below: a column's choices are kept
+# per (scaled column, cut, mode) and a joint successor set per pair of
+# per-agent choices.
+COLUMN_CACHE = 1024
+JOINT_CACHE = 256
 
-    Each column's values are compared once for its top set (the argmax), and
-    once more for its runner-up set (the argmax of the rest) when the top
-    set's only member loses.  A losing row moves into the top set without
-    itself, or into the runner-up set when it is the top set.
+
+def _agent_moves(game: Game, mode: str) -> list[tuple[tuple[int, ...], ...]]:
+    """Per-agent successor choices, column by column: `moves[q2][q1]` is the
+    choice of the row agent q1 against q2.
+
+    Times their common denominator, the payoffs and the threshold are
+    integers in the same order, which compare far faster than Fractions.  A
+    column's choices depend only on its scaled values and the scaled
+    threshold (the cut), so `_column_choices` keeps them per column: a game
+    and its integer rescaling share the entry.
     """
-    k = game.size
-    # Times their common denominator, the payoffs and the threshold are
-    # integers in the same order, which compare far faster than Fractions.
     threshold, payoff = game.threshold, game.payoff
-    scale = lcm(threshold.denominator, *(v.denominator for row in payoff for v in row))
+    scale = lcm(threshold.denominator, *[v.denominator for row in payoff for v in row])
     cut = threshold.numerator * (scale // threshold.denominator)
-    moves: dict[Pair, list[int]] = {}
-    for q2 in range(k):
-        column = [row[q2].numerator * (scale // row[q2].denominator) for row in payoff]
-        best = max(column)
-        top = [x for x in range(k) if column[x] == best]
-        for q1 in range(k):
-            if column[q1] >= cut:
-                choice = [q1]
-            elif top != [q1]:
-                choice = [x for x in top if x != q1]
-            elif k == 1:
-                raise ProtocolError(
-                    f"no strategy left to shift to in {game.name!r}: "
-                    f"cannot exclude {game.strategies[q1]!r} from a 1-strategy game"
-                )
-            else:
-                second = max(column[x] for x in range(k) if x != q1)
-                choice = [x for x in range(k) if x != q1 and column[x] == second]
-            moves[(q1, q2)] = choice[:1] if mode == LOWEST_INDEX else choice
+    moves = []
+    for values in zip(*payoff):
+        column = tuple([v.numerator * (scale // v.denominator) for v in values])
+        if len(column) == 1 and column[0] < cut:
+            raise ProtocolError(
+                f"no strategy left to shift to in {game.name!r}: "
+                f"cannot exclude {game.strategies[0]!r} from a 1-strategy game"
+            )
+        moves.append(_column_choices(column, cut, mode))
     return moves
+
+
+@lru_cache(maxsize=COLUMN_CACHE)
+def _column_choices(column: tuple[int, ...], cut: int, mode: str) -> tuple[tuple[int, ...], ...]:
+    """Each row's choice against one column of integer payoffs `column` and
+    the integer threshold `cut`, in row order.
+
+    The column's values are compared once for its top set (the argmax), and
+    once more for its runner-up set (the argmax of the rest) when the top
+    set's only member loses.  A winning row stays; a losing row moves into
+    the top set without itself, or into the runner-up set when it is the
+    top set.  Mode `lowest-index` keeps each choice's first member.  A
+    1-strategy column must win (`_agent_moves` refuses a loss).
+    """
+    k = len(column)
+    best = max(column)
+    top = tuple([x for x in range(k) if column[x] == best])
+    choices = []
+    for q1 in range(k):
+        if column[q1] >= cut:
+            choice = (q1,)
+        elif top != (q1,):
+            choice = tuple([x for x in top if x != q1])
+        else:
+            second = max([column[x] for x in range(k) if x != q1])
+            choice = tuple([x for x in range(k) if x != q1 and column[x] == second])
+        choices.append(choice[:1] if mode == LOWEST_INDEX else choice)
+    return tuple(choices)
+
+
+@lru_cache(maxsize=JOINT_CACHE)
+def _joint(mine: tuple[int, ...], theirs: tuple[int, ...]) -> frozenset[Pair]:
+    """The joint successor set of two per-agent choices.  It is filled in
+    the order of the set of its pairs, as `core.complete` fills it, so a
+    derived successor set iterates the same way as one completed from those
+    pairs."""
+    return frozenset(list({(a, b) for a in mine for b in theirs}))
 
 
 def derive_protocol(game: Game, mode: str = ALL_TIES) -> Protocol:
@@ -109,15 +143,9 @@ def derive_protocol(game: Game, mode: str = ALL_TIES) -> Protocol:
     if mode not in (ALL_TIES, LOWEST_INDEX):
         raise ProtocolError(f"unknown tie mode {mode!r}")
     moves = _agent_moves(game, mode)
-    # each frozenset is filled in the order of the set of its pairs, as
-    # `complete` fills it, so a derived successor set iterates the same way
-    # as one completed from those pairs
+    k = game.size
     rules = {
-        (q1, q2): frozenset(
-            list({(a, b) for a in moves[(q1, q2)] for b in moves[(q2, q1)]})
-        )
-        for q1 in range(game.size)
-        for q2 in range(game.size)
+        (q1, q2): _joint(moves[q2][q1], moves[q1][q2]) for q1 in range(k) for q2 in range(k)
     }
     return Protocol(name=f"{game.name}-protocol", states=game.strategies, rules=rules)
 

@@ -41,6 +41,11 @@ Block = tuple[IdEdges, IdEdges]
 # Variable keys: ("M", i, j) for matrix entries, "delta" for the threshold.
 DELTA: Var = "delta"
 
+# Bounds of the per-column caches: first-agent sets per joint successor set,
+# and blocks and their solutions per column.
+FIRSTS_CACHE = 256
+COLUMN_CACHE = 1024
+
 
 def mat(i: int, j: int) -> Var:
     return ("M", i, j)
@@ -192,17 +197,27 @@ def build_constraints(protocol: Protocol, mode: str = SUBSET) -> ConstraintSyste
     if bad is not None:
         raise ProtocolError(f"protocol is not symmetric, mirror of {bad} missing")
     n = protocol.state_count
-    firsts = {
-        pair: frozenset([a for a, _ in succs]) for pair, succs in protocol.rules.items()
-    }
+    firsts = tuple(map(_first_agents, map(protocol.rules.__getitem__, _column_major(n))))
     columns = [
-        _column_constraints(n, q2, tuple([firsts[(q1, q2)] for q1 in range(n)]), mode)
-        for q2 in range(n)
+        _column_constraints(n, q2, firsts[q2 * n : q2 * n + n], mode) for q2 in range(n)
     ]
     return ConstraintSystem._numbered(_matrix_variables(n), tuple(columns))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8)
+def _column_major(n: int) -> tuple[tuple[int, int], ...]:
+    """The ordered pairs of n states column by column: (q1, q2) has place
+    q2·n + q1."""
+    return tuple((q1, q2) for q2 in range(n) for q1 in range(n))
+
+
+@lru_cache(maxsize=FIRSTS_CACHE)
+def _first_agents(succs: frozenset[tuple[int, int]]) -> frozenset[int]:
+    """The first agent's successor states in a joint successor set."""
+    return frozenset([a for a, _ in succs])
+
+
+@lru_cache(maxsize=COLUMN_CACHE)
 def _column_constraints(
     n: int, q2: int, firsts: tuple[frozenset[int], ...], mode: str
 ) -> tuple[IdEdges, IdEdges]:
@@ -292,7 +307,7 @@ class _BlockSolution(NamedTuple):
     ranks: tuple[tuple[int, int, int], ...]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=COLUMN_CACHE)
 def _solve_block(le: IdEdges, lt: IdEdges) -> _BlockSolution:
     """Solve the comparisons u <= v for (u, v) in `le` and u < v in `lt`
     alone.  Cached: a block recurs in many systems, and `build_constraints`
@@ -457,11 +472,13 @@ def _check(protocol: Protocol, mode: str) -> Witness | NotPavlovian:
     if isinstance(solved, UnsatCertificate):
         return NotPavlovian(reason="unsatisfiable comparisons", certificate=solved)
 
+    # the solution lists the threshold (id 0), then the matrix row by row
     n = protocol.state_count
+    values = list(solved.values())
     witness = Witness(
         states=protocol.states,
-        matrix=tuple(tuple(solved[mat(i, j)] for j in range(n)) for i in range(n)),
-        threshold=solved[DELTA],
+        matrix=tuple([tuple(values[1 + i * n : 1 + i * n + n]) for i in range(n)]),
+        threshold=values[0],
     )
     if not witness_reproduces(witness, protocol, mode):
         raise RuntimeError(

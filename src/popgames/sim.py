@@ -57,6 +57,7 @@ class InteractionGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertex_count", _checked_int(self.vertex_count, "vertex count"))
         if self.vertex_count < 2:
             raise ProtocolError("graph needs at least 2 vertices")
         seen = set()
@@ -81,10 +82,12 @@ class InteractionGraph:
 
     @classmethod
     def complete(cls, n: int) -> "InteractionGraph":
+        n = _checked_int(n, "vertex count")
         return cls(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
     @classmethod
     def ring(cls, n: int) -> "InteractionGraph":
+        n = _checked_int(n, "vertex count")
         if n == 2:
             return cls(2, ((0, 1),))
         return cls(n, tuple((u, (u + 1) % n) for u in range(n)))

@@ -721,9 +721,7 @@ def iter_search_pavlovian(
     alphabet = input_symbols(alphabet)
     if not alphabet:
         raise ProtocolError("empty input alphabet")
-    k = state_count
-    if k < 1:
-        raise ProtocolError("state count must be >= 1")
+    k = _checked_int(state_count, "state count", 1)
     total = candidate_count(k, len(alphabet))
     if total > budget:
         raise BudgetExceeded(

@@ -105,6 +105,16 @@ def test_protocol_without_io_sections():
     assert p.output_map is None
 
 
+def test_binding_no_input_symbols_round_trips():
+    bare = make_protocol("p", ("a", "b"), [])
+    for inputs in ([], {}):
+        p = attach_io(bare, inputs=inputs)
+        assert p.input_map is None and p.input_alphabet == ()
+        assert parse_protocol(print_protocol(p)) == p
+    bound = make_protocol("p", ("a", "b"), [], inputs={"0": "a"})
+    assert attach_io(bound, inputs=[]) == bare
+
+
 def test_parse_protocol_errors_carry_position():
     cases = [
         ("states a b\n", 1, None),  # missing protocol line

@@ -14,6 +14,7 @@ from popgames import (
     builtin,
     check_pavlovian,
     derive_protocol,
+    games,
     is_deterministic,
     is_symmetric,
     make_game,
@@ -142,6 +143,52 @@ def test_affine_rescale_invariance():
         )
         for mode in (ALL_TIES, LOWEST_INDEX):
             assert derive_protocol(g, mode).rules == derive_protocol(scaled, mode).rules
+
+
+def test_column_caches_agree_with_the_definition_after_evicting():
+    """More distinct columns and choice pairs than the caches hold, derived
+    twice in the same order, so the second pass finds none of the first's
+    entries: both passes match the per-pair definition, and a successor
+    set built again iterates as the cached one did."""
+    rng = random.Random(2009)
+    drawn = []
+    for _ in range(400):
+        k = rng.choice((4, 5))
+        payoff = [[rng.randrange(3) for _ in range(k)] for _ in range(k)]
+        drawn.append(make_game("rand", [f"s{i}" for i in range(k)], payoff, rng.randrange(4)))
+    caches = (games._column_choices, games._joint)
+    misses = [cache.cache_info().misses for cache in caches]
+    first = {}
+    for _ in range(2):
+        for i, game in enumerate(drawn):
+            for mode in (ALL_TIES, LOWEST_INDEX):
+                rules = derive_protocol(game, mode).rules
+                lowest = mode == LOWEST_INDEX
+                assert rules == oracles.wsls_rules(game.payoff, game.threshold, lowest)
+                order = {pair: list(succs) for pair, succs in rules.items()}
+                assert first.setdefault((i, mode), order) == order
+    for cache, before in zip(caches, misses):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.misses - before > 2 * info.maxsize
+
+
+def test_a_game_and_its_integer_rescaling_share_their_columns():
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    payoff = [
+        [3 * sixth, -7 * third, 5],
+        [11 * sixth, 0, third],
+        [-5 * sixth, 13 * sixth, 2 * third],
+    ]
+    game = make_game("fractions", ("a", "b", "c"), payoff, Fraction(7, 12))
+    whole = make_game("integers", game.strategies, [[12 * x for x in row] for row in payoff], 7)
+    for mode in (ALL_TIES, LOWEST_INDEX):
+        expected = oracles.wsls_rules(game.payoff, game.threshold, mode == LOWEST_INDEX)
+        assert derive_protocol(game, mode).rules == expected
+        before = games._column_choices.cache_info()
+        assert derive_protocol(whole, mode).rules == expected
+        after = games._column_choices.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
 
 
 def test_derive_round_trips_through_check():

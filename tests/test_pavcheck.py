@@ -26,6 +26,7 @@ from popgames import (
     format_certificate,
     make_game,
     make_protocol,
+    pavcheck,
     solve_order_constraints,
     witness_reproduces,
 )
@@ -466,6 +467,43 @@ def sample_dynamics(rng, k):
             rules[(q, r)] = frozenset({(a, b)})
             rules[(r, q)] = frozenset({(b, a)})
     return Protocol(f"dyn{k}", tuple(f"s{i}" for i in range(k)), rules)
+
+
+def sample_nondeterministic(rng, k):
+    """A drawn symmetric k-state rule table whose pairs have one to three
+    successors each; a diagonal set is closed under swapping."""
+    rules = {}
+    for q in range(k):
+        for r in range(q, k):
+            succs = {(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(1, 3))}
+            if q == r:
+                succs |= {(b, a) for a, b in succs}
+            rules[(q, r)] = frozenset(succs)
+            rules[(r, q)] = frozenset((b, a) for a, b in succs)
+    return Protocol(f"nd{k}", tuple(f"s{i}" for i in range(k)), rules)
+
+
+def test_column_caches_agree_with_the_definition_after_evicting():
+    """More distinct successor sets, columns and blocks than the caches
+    hold, checked twice in the same order, so the second pass finds none of
+    the first's entries: every system has the comparisons of the definition
+    and solves as its one-block form does."""
+    rng = random.Random(2011)
+    protocols = [sample_nondeterministic(rng, 4) for _ in range(300)]
+    protocols += [sample_dynamics(rng, 4) for _ in range(100)]
+    caches = (pavcheck._first_agents, pavcheck._column_constraints, pavcheck._solve_block)
+    misses = [cache.cache_info().misses for cache in caches]
+    for _ in range(2):
+        for protocol in protocols:
+            for mode in (EXACT, SUBSET):
+                system = build_constraints(protocol, mode)
+                nonstrict, strict = oracles.comparison_system(protocol.rules, 4, mode == EXACT)
+                assert (system.nonstrict, system.strict) == (nonstrict, strict)
+                assert solve_order_constraints(system) == solve_order_constraints(one_block(system))
+    for cache, before in zip(caches, misses):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.misses - before > 2 * info.maxsize
 
 
 def sample_derivation(rng, k, mode):

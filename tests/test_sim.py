@@ -36,6 +36,20 @@ def test_interaction_graph_validation():
         InteractionGraph(4, ((0, 3), (1, 2)))
 
 
+def test_graph_vertex_counts_must_be_integers():
+    for build in (
+        lambda: InteractionGraph(2.5, ((0, 1),)),
+        lambda: InteractionGraph("2", ((0, 1),)),
+        lambda: InteractionGraph.ring(2.5),
+        lambda: InteractionGraph.complete("3"),
+    ):
+        with pytest.raises(ProtocolError, match="vertex count must be an integer"):
+            build()
+    graph = InteractionGraph(np.int64(3), ((0, 1), (1, 2)))
+    assert type(graph.vertex_count) is int
+    assert graph == InteractionGraph(3, ((0, 1), (1, 2)))
+
+
 def test_graph_constructors():
     assert len(InteractionGraph.complete(5).edges) == 10
     assert len(InteractionGraph.ring(5).edges) == 5

@@ -1052,6 +1052,14 @@ def test_search_refuses_a_bad_alphabet():
             next(iter_search_pavlovian(2, "n_1 >= 1", (2, 3), alphabet=alphabet))
 
 
+def test_search_reads_its_state_count_as_an_integer():
+    for count in (2.5, "2"):
+        with pytest.raises(ProtocolError, match="state count must be an integer"):
+            next(iter_search_pavlovian(count, "n_1 >= 1", (2,)))
+    with pytest.raises(ProtocolError, match="state count must be >= 1, got 0"):
+        next(iter_search_pavlovian(0, "n_1 >= 1", (2,)))
+
+
 def test_search_one_state_finds_nothing_nonconstant():
     assert list(iter_search_pavlovian(
         1, "n_1 >= 1", (2, 3), alphabet=("0", "1"))) == []
