@@ -4,138 +4,48 @@ Derive protocols from symmetric games with a win-stay/lose-shift threshold
 rule, decide whether a protocol arises that way by synthesizing an integer
 payoff-matrix witness, simulate protocols under uniform random scheduling,
 and verify stable computation exactly on bounded populations.
+
+`import popgames` loads no submodule.  Each public name below, and each
+submodule (``popgames.sim``), is imported on first access and then bound
+here, so a program pays only for the modules it uses.
 """
 
-from ._kernels import NUMBA_ENABLED, backend
-from .core import (
-    Config,
-    Protocol,
-    ProtocolError,
-    complete,
-    config_of,
-    config_to_dict,
-    initial_config,
-    is_deterministic,
-    is_symmetric,
-    make_protocol,
-    output_of_config,
-    successors,
-    symmetry_violation,
-)
-from .formats import (
-    FormatError,
-    parse_game,
-    parse_protocol,
-    print_game,
-    print_protocol,
-)
-from .games import (
-    ALL_TIES,
-    LOWEST_INDEX,
-    Game,
-    derive_protocol,
-    make_game,
-    prisoners_dilemma,
-)
-from .library import LEADERS, builtin, builtin_keys, symmetrize
-from .pavcheck import (
-    EXACT,
-    SUBSET,
-    ConstraintSystem,
-    NotPavlovian,
-    UnsatCertificate,
-    Witness,
-    build_constraints,
-    check_pavlovian,
-    default_mode,
-    format_certificate,
-    solve_order_constraints,
-    witness_reproduces,
-)
-from .sim import (
-    InteractionGraph,
-    RunResult,
-    StatsReport,
-    monte_carlo,
-    run,
-)
-from .verify import (
-    BudgetExceeded,
-    ConfigGraph,
-    Counterexample,
-    PredicateError,
-    Verdict,
-    bottom_sccs,
-    candidate_count,
-    eval_predicate,
-    parse_predicate,
-    predicate_symbols,
-    reachable,
-    stable_leader,
-    stably_computes,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_TIES",
-    "BudgetExceeded",
-    "Config",
-    "ConfigGraph",
-    "ConstraintSystem",
-    "Counterexample",
-    "EXACT",
-    "FormatError",
-    "Game",
-    "InteractionGraph",
-    "LEADERS",
-    "LOWEST_INDEX",
-    "NUMBA_ENABLED",
-    "NotPavlovian",
-    "PredicateError",
-    "Protocol",
-    "ProtocolError",
-    "RunResult",
-    "StatsReport",
-    "SUBSET",
-    "UnsatCertificate",
-    "Verdict",
-    "Witness",
-    "backend",
-    "bottom_sccs",
-    "builtin",
-    "candidate_count",
-    "builtin_keys",
-    "check_pavlovian",
-    "complete",
-    "config_of",
-    "config_to_dict",
-    "default_mode",
-    "derive_protocol",
-    "eval_predicate",
-    "format_certificate",
-    "initial_config",
-    "is_deterministic",
-    "is_symmetric",
-    "make_game",
-    "make_protocol",
-    "monte_carlo",
-    "output_of_config",
-    "parse_game",
-    "parse_predicate",
-    "predicate_symbols",
-    "parse_protocol",
-    "print_game",
-    "print_protocol",
-    "prisoners_dilemma",
-    "reachable",
-    "run",
-    "stable_leader",
-    "stably_computes",
-    "successors",
-    "symmetrize",
-    "symmetry_violation",
-    "build_constraints",
-    "solve_order_constraints",
-    "witness_reproduces",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "_kernels": "NUMBA_ENABLED backend",
+    "core": "Config Protocol ProtocolError BudgetExceeded complete config_of config_to_dict "
+    "initial_config is_deterministic is_symmetric make_protocol output_of_config "
+    "successors symmetry_violation",
+    "formats": "FormatError parse_game parse_protocol print_game print_protocol",
+    "games": "ALL_TIES LOWEST_INDEX Game derive_protocol make_game prisoners_dilemma",
+    "library": "LEADERS builtin builtin_keys symmetrize",
+    "pavcheck": "EXACT SUBSET ConstraintSystem NotPavlovian UnsatCertificate Witness "
+    "build_constraints check_pavlovian default_mode format_certificate "
+    "solve_order_constraints witness_reproduces",
+    "sim": "InteractionGraph RunResult StatsReport monte_carlo run",
+    "verify": "ConfigGraph Counterexample PredicateError Verdict bottom_sccs candidate_count "
+    "eval_predicate parse_predicate predicate_symbols reachable stable_leader stably_computes",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys() | _SUBMODULES)

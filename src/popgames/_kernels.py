@@ -29,6 +29,11 @@ left are those both kernels share: `_counts_match` for a target rule, and
 
 numpy is imported only beside numba: the plain path, and with it every
 `popgames` command run without numba, uses the standard library alone.
+Only simulation loads this module: `sim` imports it, `popgames` and
+`popgames.cli` on first use of a name from it (`backend`), and `core` when it
+first builds a protocol's tables (`Protocol._kernel_tables`).  With numba
+installed, `simulate` is therefore the one command that imports numba and
+numpy.
 
 Drawing a value below m uses a plain modulo, whose bias is negligible for the
 population sizes involved (m far below 2^64).

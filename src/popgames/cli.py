@@ -8,6 +8,13 @@ reports always state the population sizes they covered; nothing is claimed
 beyond them.  `simulate` checks the stop rule before the step budget (so
 --max-steps 0 reports a silent start as stabilized) and rejects a negative
 --max-steps and a disconnected --graph file.
+
+A command loads only the modules it calls.  `core` and `formats` load with
+this module.  The names the commands take from the other modules (`_LAZY`)
+are bound here as globals by `main`, for the modules its command lists,
+before the command runs; from outside, the first access to one of them
+(``cli.monte_carlo``) binds its module's names.  A name bound earlier is
+kept, so a caller may wrap a command's entry point before calling `main`.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from . import _kernels
 from . import core
 from .core import (
+    BudgetExceeded,
     Protocol,
     ProtocolError,
     config_of,
@@ -35,24 +43,36 @@ from .formats import (
     print_game,
     print_protocol,
 )
-from .games import ALL_TIES, LOWEST_INDEX, Game, derive_protocol
-from .library import LEADERS, builtin, builtin_keys, symmetrize
-from .pavcheck import (
-    Witness,
-    check_pavlovian,
-    default_mode,
-    format_certificate,
-    format_var,
-)
-from .sim import DEFAULT_MAX_STEPS, InteractionGraph, StatsReport, monte_carlo
-from .verify import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    Verdict,
-    iter_search_pavlovian,
-    stable_leader,
-    stably_computes,
-)
+
+# the names the commands call from modules other than core and formats
+_LAZY = {
+    "_kernels": ("backend",),
+    "games": ("ALL_TIES", "LOWEST_INDEX", "Game", "derive_protocol"),
+    "library": ("LEADERS", "builtin", "builtin_keys", "symmetrize"),
+    "pavcheck": ("Witness", "check_pavlovian", "default_mode", "format_certificate", "format_var"),
+    "sim": ("DEFAULT_MAX_STEPS", "InteractionGraph", "StatsReport", "monte_carlo"),
+    "verify": (
+        "DEFAULT_BUDGET", "Verdict", "iter_search_pavlovian", "stable_leader", "stably_computes",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import `modules` and bind their `_LAZY` names here, keeping any name
+    already bound."""
+    for module in modules:
+        source = import_module("." + module, __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
 
 
 def resolve_budget(args) -> int:
@@ -266,13 +286,14 @@ def cmd_simulate(args) -> int:
     population = int(sum(init))
     graph = _resolve_graph(args, population)
     stop = _parse_stop(args.stop)
+    max_steps = DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
     report = monte_carlo(
         protocol,
         init,
         graph=graph,
         trials=args.trials,
         seed=args.seed,
-        max_steps=args.max_steps,
+        max_steps=max_steps,
         stop=stop,
     )
     csv_text = _csv_rows(report)
@@ -291,9 +312,9 @@ def cmd_simulate(args) -> int:
         "median_steps": report.median_steps,
         "p95_steps": report.p95_steps,
         "seed": report.seed,
-        "max_steps": args.max_steps,
+        "max_steps": max_steps,
         "stop": args.stop,
-        "backend": _kernels.backend(),
+        "backend": backend(),
         "note": "identity interactions count as steps",
     }
     print(json.dumps(summary, indent=2))
@@ -417,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pavlovian", action="store_true")
     p.add_argument("--mode", choices=("exact", "subset"), default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, loads=("pavcheck",))
 
     p = sub.add_parser("derive", help="derive the protocol of a game file")
     p.add_argument("file")
     p.add_argument("--tie-break", choices=("all", "lowest"), default="all")
     p.add_argument("--inputs", help="attach inputs, e.g. 0=C,1=D")
     p.add_argument("--outputs", help="attach outputs, e.g. C=1,D=0")
-    p.set_defaults(func=cmd_derive)
+    p.set_defaults(func=cmd_derive, loads=("games",))
 
     p = sub.add_parser("simulate", help="Monte Carlo runs; CSV + JSON summary")
     p.add_argument("file")
@@ -433,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="population for all-<state>")
     p.add_argument("--graph", default="complete", help="complete, ring, or file:<path>")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--stop", default="silent", help="silent, none, or window:<w>")
     p.add_argument("--csv", help="write per-trial rows to this path")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, loads=("sim", "_kernels"))
 
     p = sub.add_parser("verify", help="exact bounded verification; JSON verdict")
     p.add_argument("file")
@@ -446,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-states", help="allowed initial states for --leaders")
     p.add_argument("--sizes", default="2..8")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, loads=("verify",))
 
     p = sub.add_parser("symmetrize", help="state-doubling symmetric construction")
     p.add_argument("file")
-    p.set_defaults(func=cmd_symmetrize)
+    p.set_defaults(func=cmd_symmetrize, loads=("library",))
 
     p = sub.add_parser("search", help="enumerate small Pavlovian protocols")
     p.add_argument("--states", type=int, required=True)
@@ -460,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", help="input symbols, default: predicate symbols")
     p.add_argument("--mode", choices=("exact", "subset"), default="exact")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, loads=("verify",))
 
     p = sub.add_parser("builtin", help="export a builtin protocol or game")
     p.add_argument("key", nargs="?", default=None)
     p.add_argument("--set", action="append", help="pd parameters, e.g. --set T=5")
-    p.set_defaults(func=cmd_builtin)
+    p.set_defaults(func=cmd_builtin, loads=("library", "games"))
 
     return parser
 
@@ -476,6 +497,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _load(*args.loads)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -17,11 +17,17 @@ from functools import cached_property
 from itertools import compress
 from operator import add
 
-from . import _kernels
-
 
 class ProtocolError(ValueError):
     """Structurally invalid protocol, configuration, or input."""
+
+
+class BudgetExceeded(Exception):
+    """Raised when an exhaustive pass would outgrow its node or candidate budget."""
+
+    def __init__(self, message: str, budget: int):
+        super().__init__(message)
+        self.budget = budget
 
 
 Pair = tuple[int, int]
@@ -143,7 +149,10 @@ class Protocol:
     @cached_property
     def _kernel_tables(self) -> tuple:
         """`_kernels._tables` of this protocol, built on first use and
-        shared by every later run of it."""
+        shared by every later run of it.  The kernels load here, not with
+        this module, so a program that never simulates never imports them."""
+        from . import _kernels
+
         return _kernels._tables(self)
 
     @cached_property

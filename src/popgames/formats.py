@@ -27,14 +27,14 @@ Tokens are whitespace-separated; `#` starts a comment.  Repeated rule lines
 for one ordered pair accumulate into a successor set.  Payoffs and thresholds
 are exact rationals written as integers, decimals, or `p/q`.  Parsing and
 printing round-trip: parse(print(x)) == x.
+
+`fractions` and `popgames.games` load only when a rational or a game file is
+read, so a program that reads only protocol and graph files loads neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import Protocol, ProtocolError, attach_io, check_name, make_protocol
-from .games import Game, make_game
 
 
 class FormatError(ValueError):
@@ -79,6 +79,8 @@ def _check_token(token: str, what: str, lineno: int, column: int) -> None:
 
 def parse_rational(token: str, lineno: int = 1, column: int = 1) -> Fraction:
     """Integers, exact decimals, and p/q all go through Fraction unchanged."""
+    from fractions import Fraction
+
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -268,6 +270,8 @@ def parse_game(text: str) -> Game:
     missing = [s for s in strategies if s not in rows]
     if missing:
         raise FormatError(f"missing row for strategy {missing[0]!r}", 1)
+
+    from .games import make_game
 
     try:
         return make_game(name, strategies, tuple(rows[s] for s in strategies), threshold)

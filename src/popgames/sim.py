@@ -51,7 +51,9 @@ DEFAULT_MAX_STEPS = 1_000_000
 @dataclass(frozen=True)
 class InteractionGraph:
     """Connected undirected interaction topology: vertices 0..vertex_count-1,
-    no self-loops, no duplicate edges."""
+    no self-loops, no duplicate edges.  Each edge is a pair of integer
+    endpoints (read as `core._checked_int` reads them), kept as a tuple of
+    ints."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -62,7 +64,15 @@ class InteractionGraph:
             raise ProtocolError("graph needs at least 2 vertices")
         seen = set()
         neighbours = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
+        edges = []
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ProtocolError(f"edge {edge!r} is not a pair of vertices") from None
+            u = _checked_int(u, f"endpoint of edge {edge!r}")
+            v = _checked_int(v, f"endpoint of edge {edge!r}")
+            edges.append((u, v))
             if u == v:
                 raise ProtocolError(f"self-loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -73,6 +83,7 @@ class InteractionGraph:
             seen.add(key)
             neighbours[u].append(v)
             neighbours[v].append(u)
+        object.__setattr__(self, "edges", tuple(edges))
         reached = next(c for c in strongly_connected_components(neighbours) if 0 in c)
         if len(reached) < self.vertex_count:
             apart = min(set(range(self.vertex_count)) - set(reached))

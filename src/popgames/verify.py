@@ -33,6 +33,7 @@ from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
 from .core import (
+    BudgetExceeded,
     Config,
     Protocol,
     ProtocolError,
@@ -47,14 +48,6 @@ from .core import (
 from .pavcheck import EXACT, NotPavlovian, check_pavlovian
 
 DEFAULT_BUDGET = 500_000
-
-
-class BudgetExceeded(Exception):
-    """Raised when an exhaustive pass would outgrow its node or candidate budget."""
-
-    def __init__(self, message: str, budget: int):
-        super().__init__(message)
-        self.budget = budget
 
 
 # ---------------------------------------------------------------------------

@@ -665,3 +665,59 @@ def test_commands_run_without_numpy(tmp_path):
             [sys.executable, "-c", NUMPY_FREE, *argv],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+# main() with argv from the command line, then the popgames modules it loaded,
+# as the last line of stderr
+MODULES_LOADED = """
+import sys
+from popgames import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("popgames."))
+print(" ".join(m.removeprefix("popgames.") for m in loaded), file=sys.stderr)
+sys.exit(code)
+"""
+
+# beyond cli, core and formats, which every command loads
+COMMAND_MODULES = [
+    (["simulate", "pd.txt", "--init-states", "all-D", "--size", "3", "--trials", "2"], 0,
+     {"sim", "_kernels"}),
+    (["search", "--states", "2", "--predicate", "n_1 >= 1", "--sizes", "2..3", "--json"], 0,
+     {"verify", "pavcheck", "games"}),
+    (["search", "--states", "3", "--predicate", "n_1 >= 1", "--budget", "10"], 3,
+     {"verify", "pavcheck", "games"}),
+    (["verify", "majority.txt", "--predicate", "n_1 >= n_0", "--sizes", "2..3"], 1,
+     {"verify", "pavcheck", "games"}),
+    (["verify", "majority.txt", "--predicate", "n_1 >= n_0", "--budget", "2"], 3,
+     {"verify", "pavcheck", "games"}),
+    (["check", "--pavlovian", "majority.txt"], 0, {"pavcheck", "games"}),
+    (["derive", "pd-game.txt"], 0, {"games"}),
+    (["symmetrize", "majority.txt"], 0, {"library", "games"}),
+    (["builtin", "pd", "--set", "T=5"], 0, {"library", "games"}),
+    (["--help"], 0, set()),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, modules", COMMAND_MODULES,
+                         ids=[" ".join(case[0][:1] + case[0][-1:]) for case in COMMAND_MODULES])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, exit_code, modules):
+    files = {
+        "pd.txt": protocol_file(tmp_path, builtin("pavlov-pd"), "pd.txt"),
+        "majority.txt": protocol_file(tmp_path, builtin("majority"), "majority.txt"),
+        "pd-game.txt": game_file(tmp_path, builtin("pd"), "pd-game.txt"),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_LOADED, *(files.get(word, word) for word in argv)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert loaded == {"cli", "core", "formats"} | modules
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, popgames; print([m for m in sys.modules if m.startswith('popgames.')])"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

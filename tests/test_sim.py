@@ -50,6 +50,22 @@ def test_graph_vertex_counts_must_be_integers():
     assert graph == InteractionGraph(3, ((0, 1), (1, 2)))
 
 
+def test_graph_edges_are_pairs_of_integers():
+    for edges, message in (
+        (((0, 1.0), (1, 2)), r"endpoint of edge \(0, 1.0\) must be an integer, got 1.0"),
+        (((0, "1"), (1, 2)), r"endpoint of edge \(0, '1'\) must be an integer, got '1'"),
+        (((0, 1), (1, 2), (2,)), r"edge \(2,\) is not a pair of vertices"),
+        (((0, 1), (0, 1, 2)), r"edge \(0, 1, 2\) is not a pair of vertices"),
+        (((0, 1), 2), r"edge 2 is not a pair of vertices"),
+    ):
+        with pytest.raises(ProtocolError, match=message):
+            InteractionGraph(3, edges)
+    graph = InteractionGraph(3, ((0, True), [np.int64(1), 2]))
+    assert graph.edges == ((0, 1), (1, 2))
+    assert all(type(end) is int for edge in graph.edges for end in edge)
+    assert graph == InteractionGraph(3, ((0, 1), (1, 2)))
+
+
 def test_graph_constructors():
     assert len(InteractionGraph.complete(5).edges) == 10
     assert len(InteractionGraph.ring(5).edges) == 5
