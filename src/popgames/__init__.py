@@ -14,7 +14,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the public names, by the module that defines them
+# the public names, by the module that defines them; `cli` binds its
+# commands' names from this table too
 _EXPORTS = {
     "_kernels": "NUMBA_ENABLED backend",
     "core": "Config Protocol ProtocolError BudgetExceeded complete config_of config_to_dict "
@@ -24,11 +25,12 @@ _EXPORTS = {
     "games": "ALL_TIES LOWEST_INDEX Game derive_protocol make_game prisoners_dilemma",
     "library": "LEADERS builtin builtin_keys symmetrize",
     "pavcheck": "EXACT SUBSET ConstraintSystem NotPavlovian UnsatCertificate Witness "
-    "build_constraints check_pavlovian default_mode format_certificate "
+    "build_constraints check_pavlovian default_mode format_certificate format_var "
     "solve_order_constraints witness_reproduces",
-    "sim": "InteractionGraph RunResult StatsReport monte_carlo run",
-    "verify": "ConfigGraph Counterexample PredicateError Verdict bottom_sccs candidate_count "
-    "eval_predicate parse_predicate predicate_symbols reachable stable_leader stably_computes",
+    "sim": "DEFAULT_MAX_STEPS InteractionGraph RunResult StatsReport monte_carlo run",
+    "verify": "DEFAULT_BUDGET ConfigGraph Counterexample PredicateError Verdict bottom_sccs "
+    "candidate_count eval_predicate iter_search_pavlovian parse_predicate predicate_symbols "
+    "reachable stable_leader stably_computes",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

@@ -10,11 +10,11 @@ beyond them.  `simulate` checks the stop rule before the step budget (so
 --max-steps and a disconnected --graph file.
 
 A command loads only the modules it calls.  `core` and `formats` load with
-this module.  The names the commands take from the other modules (`_LAZY`)
-are bound here as globals by `main`, for the modules its command lists,
-before the command runs; from outside, the first access to one of them
-(``cli.monte_carlo``) binds its module's names.  A name bound earlier is
-kept, so a caller may wrap a command's entry point before calling `main`.
+this module.  Before a command runs, `main` binds here as globals the public
+names (`popgames._EXPORTS`) of the other modules its command lists; from
+outside, the first access to a public name (``cli.monte_carlo``) binds its
+module's names.  A name bound earlier is kept, so a caller may wrap a
+command's entry point before calling `main`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import sys
 from importlib import import_module
 
-from . import core
+from . import _EXPORTS, core
 from .core import (
     BudgetExceeded,
     Protocol,
@@ -36,6 +36,7 @@ from .core import (
     is_symmetric,
 )
 from .formats import (
+    FormatError,
     parse_game,
     parse_graph_file,
     parse_protocol,
@@ -44,30 +45,19 @@ from .formats import (
     print_protocol,
 )
 
-# the names the commands call from modules other than core and formats
-_LAZY = {
-    "_kernels": ("backend",),
-    "games": ("ALL_TIES", "LOWEST_INDEX", "Game", "derive_protocol"),
-    "library": ("LEADERS", "builtin", "builtin_keys", "symmetrize"),
-    "pavcheck": ("Witness", "check_pavlovian", "default_mode", "format_certificate", "format_var"),
-    "sim": ("DEFAULT_MAX_STEPS", "InteractionGraph", "StatsReport", "monte_carlo"),
-    "verify": (
-        "DEFAULT_BUDGET", "Verdict", "iter_search_pavlovian", "stable_leader", "stably_computes",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
-
 
 def _load(*modules: str) -> None:
-    """Import `modules` and bind their `_LAZY` names here, keeping any name
+    """Import `modules` and bind their public names here, keeping any name
     already bound."""
     for module in modules:
         source = import_module("." + module, __package__)
-        for name in _LAZY[module]:
+        for name in _EXPORTS[module].split():
             globals().setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
+    from . import _MODULE_OF
+
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -402,14 +392,17 @@ def cmd_builtin(args) -> int:
         for key in builtin_keys():
             print(key)
         return 0
-    kwargs = {}
+    settings = {}
     for setting in args.set or []:
         name, sep, value = setting.partition("=")
         if not sep:
             raise ProtocolError(f"expected NAME=VALUE, got {setting!r}")
-        kwargs[name] = parse_rational(value)
+        try:
+            settings[name] = parse_rational(value)
+        except FormatError:
+            raise ProtocolError(f"--set {name}: not a rational number: {value!r}") from None
     try:
-        value = builtin(args.key, **kwargs)
+        value = builtin(args.key, **settings)
     except TypeError as exc:
         raise ProtocolError(f"bad --set for {args.key!r}: {exc}") from exc
     if isinstance(value, Game):

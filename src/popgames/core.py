@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import add
 
@@ -64,15 +64,23 @@ def complete(rules: Mapping[Pair, Iterable[Pair]], state_count: int) -> Rules:
     return total
 
 
+@lru_cache(maxsize=None)
+def _state_pairs(state_count: int) -> frozenset[Pair]:
+    """Every ordered pair of state indices: the keys of a total rule table."""
+    return frozenset((q1, q2) for q1 in range(state_count) for q2 in range(state_count))
+
+
 @dataclass(frozen=True)
 class Protocol:
     """A population protocol with a completed (total) transition relation.
 
+    `rules` has exactly one key per ordered pair of state indices.
     `input_map` and `output_map` may be absent: dynamics derived from a game
     carry no input/output attachment until one is supplied explicitly.  An
     output map holds one int, 0 or 1, per state; an input map binds exactly
     the symbols of `input_alphabet` (none without a map) to state indices.
-    Building a protocol, `dataclasses.replace` too, checks both maps.
+    Building a protocol, `dataclasses.replace` too, checks the rule table's
+    keys and both maps.
     """
 
     name: str
@@ -84,6 +92,13 @@ class Protocol:
 
     def __post_init__(self):
         n = len(self.states)
+        pairs = _state_pairs(n)
+        if self.rules.keys() != pairs:
+            missing = pairs - self.rules.keys()
+            if missing:
+                raise ProtocolError(f"rule table misses the pair {min(missing)}")
+            extra = sorted(map(repr, self.rules.keys() - pairs))
+            raise ProtocolError(f"rule table has the pair {extra[0]}, not a pair of states")
         inputs = self.input_map or {}
         for sym in inputs:
             if sym not in self.input_alphabet:
@@ -131,8 +146,7 @@ class Protocol:
             for q2 in range(q1, k):
                 keeps = False
                 deltas = set()
-                pair_rules = self.rules.get((q1, q2), frozenset())
-                for a, b in pair_rules | self.rules.get((q2, q1), frozenset()):
+                for a, b in self.rules[(q1, q2)] | self.rules[(q2, q1)]:
                     if sorted((a, b)) == [q1, q2]:
                         keeps = True
                         continue

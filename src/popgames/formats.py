@@ -34,6 +34,8 @@ read, so a program that reads only protocol and graph files loads neither.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .core import Protocol, ProtocolError, attach_io, check_name, make_protocol
 
 
@@ -87,62 +89,91 @@ def parse_rational(token: str, lineno: int = 1, column: int = 1) -> Fraction:
         raise FormatError(f"not a rational number: {token!r}", lineno, column) from None
 
 
+def _read_lines(text: str, once: dict, repeated: dict) -> dict:
+    """Call the reader of each line's keyword as reader(found, lineno,
+    tokens, columns), and return `found`, each `once` keyword's result so
+    far.  A keyword of `once` must appear exactly once, a missing one
+    reported in the order of `once`; one of `repeated` any number of times,
+    its result dropped."""
+    found: dict = {}
+    for lineno, tokens, columns in _logical_lines(text):
+        keyword = tokens[0]
+        if keyword in once:
+            if keyword in found:
+                raise FormatError(f"duplicate {keyword} line", lineno, columns[0])
+            found[keyword] = once[keyword](found, lineno, tokens, columns)
+        elif keyword in repeated:
+            repeated[keyword](found, lineno, tokens, columns)
+        else:
+            raise FormatError(f"unknown keyword {keyword!r}", lineno, columns[0])
+    for keyword in once:
+        if keyword not in found:
+            raise FormatError(f"missing {keyword} line", 1)
+    return found
+
+
+def _name_line(found, lineno: int, tokens: list[str], columns: list[int]) -> str:
+    """`protocol <name>` or `game <name>`: the name."""
+    if len(tokens) != 2:
+        raise FormatError(f"expected: {tokens[0]} <name>", lineno, columns[0])
+    return tokens[1]
+
+
+def _names_line(
+    what: str, found, lineno: int, tokens: list[str], columns: list[int]
+) -> tuple[str, ...]:
+    """`states <name>+` or `strategies <name>+`: the names, none repeated and
+    each a `what` that `core.check_name` accepts."""
+    if len(tokens) < 2:
+        raise FormatError(f"expected: {tokens[0]} <name>+", lineno, columns[0])
+    names = tuple(tokens[1:])
+    if len(set(names)) != len(names):
+        raise FormatError(f"duplicate {what}", lineno, columns[1])
+    for tok, col in zip(tokens[1:], columns[1:]):
+        _check_token(tok, what, lineno, col)
+    return names
+
+
 # ---------------------------------------------------------------------------
 # protocol files
 
 
 def parse_protocol(text: str) -> Protocol:
-    name: str | None = None
-    states: tuple[str, ...] | None = None
     # (left, right, (line, column)) per binding, checked once states are known
     input_pairs: list[tuple[str, str, tuple[int, int]]] = []
     output_pairs: list[tuple[str, str, tuple[int, int]]] = []
-    outputs_at: tuple[int, int] | None = None  # the first outputs line
+    outputs_at: list[tuple[int, int]] = []  # the place of each outputs line
     rules: list[tuple[str, str, str, str]] = []
 
-    for lineno, tokens, columns in _logical_lines(text):
-        keyword = tokens[0]
-        if keyword == "protocol":
-            if name is not None:
-                raise FormatError("duplicate protocol line", lineno, columns[0])
-            if len(tokens) != 2:
-                raise FormatError("expected: protocol <name>", lineno, columns[0])
-            name = tokens[1]
-        elif keyword == "states":
-            if states is not None:
-                raise FormatError("duplicate states line", lineno, columns[0])
-            if len(tokens) < 2:
-                raise FormatError("expected: states <name>+", lineno, columns[0])
-            states = tuple(tokens[1:])
-            if len(set(states)) != len(states):
-                raise FormatError("duplicate state name", lineno, columns[1])
-            for tok, col in zip(tokens[1:], columns[1:]):
-                _check_token(tok, "state name", lineno, col)
-        elif keyword in ("inputs", "outputs"):
-            pairs = input_pairs if keyword == "inputs" else output_pairs
-            if keyword == "outputs" and outputs_at is None:
-                outputs_at = (lineno, columns[0])
-            what = keyword[:-1] + " binding"
-            for tok, col in zip(tokens[1:], columns[1:]):
-                pairs.append((*_split_binding(tok, lineno, col, what), (lineno, col)))
-        elif keyword == "rule":
-            if len(tokens) != 6 or tokens[3] != "->":
-                raise FormatError(
-                    "expected: rule <q1> <q2> -> <q1'> <q2'>", lineno, columns[0]
-                )
-            if states is None:
-                raise FormatError("rule before states line", lineno, columns[0])
-            for tok, col in zip(tokens[1:3] + tokens[4:6], columns[1:3] + columns[4:6]):
-                if tok not in states:
-                    raise FormatError(f"unknown state {tok!r}", lineno, col)
-            rules.append((tokens[1], tokens[2], tokens[4], tokens[5]))
-        else:
-            raise FormatError(f"unknown keyword {keyword!r}", lineno, columns[0])
+    def bindings(pairs, what, found, lineno, tokens, columns):
+        for tok, col in zip(tokens[1:], columns[1:]):
+            pairs.append((*_split_binding(tok, lineno, col, what), (lineno, col)))
 
-    if name is None:
-        raise FormatError("missing protocol line", 1)
-    if states is None:
-        raise FormatError("missing states line", 1)
+    def outputs_line(found, lineno, tokens, columns):
+        outputs_at.append((lineno, columns[0]))
+        bindings(output_pairs, "output binding", found, lineno, tokens, columns)
+
+    def rule_line(found, lineno, tokens, columns):
+        if len(tokens) != 6 or tokens[3] != "->":
+            raise FormatError("expected: rule <q1> <q2> -> <q1'> <q2'>", lineno, columns[0])
+        states = found.get("states")
+        if states is None:
+            raise FormatError("rule before states line", lineno, columns[0])
+        for tok, col in zip(tokens[1:3] + tokens[4:6], columns[1:3] + columns[4:6]):
+            if tok not in states:
+                raise FormatError(f"unknown state {tok!r}", lineno, col)
+        rules.append((tokens[1], tokens[2], tokens[4], tokens[5]))
+
+    found = _read_lines(
+        text,
+        {"protocol": _name_line, "states": partial(_names_line, "state name")},
+        {
+            "inputs": partial(bindings, input_pairs, "input binding"),
+            "outputs": outputs_line,
+            "rule": rule_line,
+        },
+    )
+    name, states = found["protocol"], found["states"]
 
     outputs: dict[str, int] = {}
     for state, bit, place in output_pairs:
@@ -171,7 +202,7 @@ def parse_protocol(text: str) -> Protocol:
     try:
         return attach_io(protocol, outputs=outputs)
     except ProtocolError as exc:
-        raise FormatError(str(exc), *outputs_at) from exc
+        raise FormatError(str(exc), *outputs_at[0]) from exc
 
 
 def print_protocol(protocol: Protocol) -> str:
@@ -206,67 +237,45 @@ def print_protocol(protocol: Protocol) -> str:
 
 
 def parse_game(text: str) -> Game:
-    name: str | None = None
-    strategies: tuple[str, ...] | None = None
     rows: dict[str, tuple[Fraction, ...]] = {}
-    threshold: Fraction | None = None
 
-    for lineno, tokens, columns in _logical_lines(text):
-        keyword = tokens[0]
-        if keyword == "game":
-            if name is not None:
-                raise FormatError("duplicate game line", lineno, columns[0])
-            if len(tokens) != 2:
-                raise FormatError("expected: game <name>", lineno, columns[0])
-            name = tokens[1]
-        elif keyword == "strategies":
-            if strategies is not None:
-                raise FormatError("duplicate strategies line", lineno, columns[0])
-            if len(tokens) < 2:
-                raise FormatError("expected: strategies <name>+", lineno, columns[0])
-            strategies = tuple(tokens[1:])
-            if len(set(strategies)) != len(strategies):
-                raise FormatError("duplicate strategy name", lineno, columns[1])
-            for tok, col in zip(tokens[1:], columns[1:]):
-                _check_token(tok, "strategy name", lineno, col)
-        elif keyword == "row":
-            if strategies is None:
-                raise FormatError("row before strategies line", lineno, columns[0])
-            if len(tokens) < 3 or not tokens[1].endswith(":"):
-                raise FormatError(
-                    "expected: row <strategy>: <rational>+", lineno, columns[0]
-                )
-            label = tokens[1][:-1]
-            if label not in strategies:
-                raise FormatError(f"unknown strategy {label!r}", lineno, columns[1])
-            if label in rows:
-                raise FormatError(f"duplicate row {label!r}", lineno, columns[1])
-            entries = tokens[2:]
-            if len(entries) != len(strategies):
-                raise FormatError(
-                    f"row {label!r} has {len(entries)} entries, expected {len(strategies)}",
-                    lineno,
-                    columns[0],
-                )
-            rows[label] = tuple(
-                parse_rational(tok, lineno, col)
-                for tok, col in zip(entries, columns[2:])
+    def row_line(found, lineno, tokens, columns):
+        strategies = found.get("strategies")
+        if strategies is None:
+            raise FormatError("row before strategies line", lineno, columns[0])
+        if len(tokens) < 3 or not tokens[1].endswith(":"):
+            raise FormatError("expected: row <strategy>: <rational>+", lineno, columns[0])
+        label = tokens[1][:-1]
+        if label not in strategies:
+            raise FormatError(f"unknown strategy {label!r}", lineno, columns[1])
+        if label in rows:
+            raise FormatError(f"duplicate row {label!r}", lineno, columns[1])
+        entries = tokens[2:]
+        if len(entries) != len(strategies):
+            raise FormatError(
+                f"row {label!r} has {len(entries)} entries, expected {len(strategies)}",
+                lineno,
+                columns[0],
             )
-        elif keyword == "threshold":
-            if threshold is not None:
-                raise FormatError("duplicate threshold line", lineno, columns[0])
-            if len(tokens) != 2:
-                raise FormatError("expected: threshold <rational>", lineno, columns[0])
-            threshold = parse_rational(tokens[1], lineno, columns[1])
-        else:
-            raise FormatError(f"unknown keyword {keyword!r}", lineno, columns[0])
+        rows[label] = tuple(
+            parse_rational(tok, lineno, col) for tok, col in zip(entries, columns[2:])
+        )
 
-    if name is None:
-        raise FormatError("missing game line", 1)
-    if strategies is None:
-        raise FormatError("missing strategies line", 1)
-    if threshold is None:
-        raise FormatError("missing threshold line", 1)
+    def threshold_line(found, lineno, tokens, columns):
+        if len(tokens) != 2:
+            raise FormatError("expected: threshold <rational>", lineno, columns[0])
+        return parse_rational(tokens[1], lineno, columns[1])
+
+    found = _read_lines(
+        text,
+        {
+            "game": _name_line,
+            "strategies": partial(_names_line, "strategy name"),
+            "threshold": threshold_line,
+        },
+        {"row": row_line},
+    )
+    strategies = found["strategies"]
     missing = [s for s in strategies if s not in rows]
     if missing:
         raise FormatError(f"missing row for strategy {missing[0]!r}", 1)
@@ -274,7 +283,9 @@ def parse_game(text: str) -> Game:
     from .games import make_game
 
     try:
-        return make_game(name, strategies, tuple(rows[s] for s in strategies), threshold)
+        return make_game(
+            found["game"], strategies, tuple(rows[s] for s in strategies), found["threshold"]
+        )
     except ProtocolError as exc:
         raise FormatError(str(exc), 1) from exc
 
@@ -301,23 +312,18 @@ def _decimal(token: str, lineno: int, column: int) -> int:
 
 def parse_graph_file(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Returns (vertex_count, edges); validation is the InteractionGraph's job."""
-    vertex_count: int | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, tokens, columns in _logical_lines(text):
-        keyword = tokens[0]
-        if keyword == "vertices":
-            if vertex_count is not None:
-                raise FormatError("duplicate vertices line", lineno, columns[0])
-            if len(tokens) != 2 or not tokens[1].isdecimal():
-                raise FormatError("expected: vertices <count>", lineno, columns[0])
-            vertex_count = _decimal(tokens[1], lineno, columns[1])
-        elif keyword == "edge":
-            if len(tokens) != 3 or not (tokens[1].isdecimal() and tokens[2].isdecimal()):
-                raise FormatError("expected: edge <u> <v>", lineno, columns[0])
-            u, v = (_decimal(t, lineno, c) for t, c in zip(tokens[1:], columns[1:]))
-            edges.append((u, v))
-        else:
-            raise FormatError(f"unknown keyword {keyword!r}", lineno, columns[0])
-    if vertex_count is None:
-        raise FormatError("missing vertices line", 1)
-    return vertex_count, edges
+
+    def vertices_line(found, lineno, tokens, columns):
+        if len(tokens) != 2 or not tokens[1].isdecimal():
+            raise FormatError("expected: vertices <count>", lineno, columns[0])
+        return _decimal(tokens[1], lineno, columns[1])
+
+    def edge_line(found, lineno, tokens, columns):
+        if len(tokens) != 3 or not (tokens[1].isdecimal() and tokens[2].isdecimal()):
+            raise FormatError("expected: edge <u> <v>", lineno, columns[0])
+        u, v = (_decimal(t, lineno, c) for t, c in zip(tokens[1:], columns[1:]))
+        edges.append((u, v))
+
+    found = _read_lines(text, {"vertices": vertices_line}, {"edge": edge_line})
+    return found["vertices"], edges

@@ -1,9 +1,9 @@
 """Built-in protocols and games, and the state-doubling symmetrization.
 
-Every factory returns a fresh, independent value.  Protocols that compute a
-predicate carry their input and output maps; the leader-election protocols
-instead have leader-state metadata in LEADERS (the election property is about
-states, not configuration outputs).
+`builtin` returns a fresh, independent value on every call.  Protocols that
+compute a predicate carry their input and output maps; the leader-election
+protocols instead have leader-state metadata in LEADERS (the election
+property is about states, not configuration outputs).
 """
 
 from __future__ import annotations
@@ -17,117 +17,94 @@ LEADERS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _bit_protocol(name: str, rules: list[tuple[str, str, str, str]]) -> Protocol:
-    """A protocol over states 0 and 1 in which input i starts in state i and
-    state i outputs i."""
-    return make_protocol(
-        name, ("0", "1"), rules, inputs={"0": "0", "1": "1"}, outputs={"0": 0, "1": 1}
-    )
-
-
-def _or_protocol() -> Protocol:
-    return _bit_protocol("or", [("0", "1", "1", "1"), ("1", "0", "1", "1")])
-
-
-def _and_protocol() -> Protocol:
-    return _bit_protocol("and", [("0", "1", "0", "0"), ("1", "0", "0", "0")])
-
-
-def _weak_xor_protocol() -> Protocol:
-    return _bit_protocol("weak-xor", [("1", "1", "0", "0")])
-
-
-def _leader_classic_protocol() -> Protocol:
-    return make_protocol("leader-classic", ("L", "N"), [("L", "L", "L", "N")])
-
-
-def _leader_pavlovian_protocol() -> Protocol:
-    rules = [
-        ("L1", "L1", "L2", "L2"),
-        ("L1", "L2", "L1", "N"),
-        ("L1", "N", "N", "L2"),
-        ("L2", "L1", "N", "L1"),
-        ("L2", "L2", "L1", "L1"),
-        ("L2", "N", "N", "L1"),
-        ("N", "L1", "L2", "N"),
-        ("N", "L2", "L1", "N"),
-    ]
-    return make_protocol("leader-pavlovian", ("L1", "L2", "N"), rules)
-
-
-def _majority_protocol() -> Protocol:
-    rules = [
-        ("N", "Y", "Y", "Y"),
-        ("Y", "N", "Y", "Y"),
-        ("N", "0", "Y", "0"),
-        ("0", "N", "0", "Y"),
-        ("Y", "1", "N", "1"),
-        ("1", "Y", "1", "N"),
-        ("0", "1", "N", "Y"),
-        ("1", "0", "Y", "N"),
-    ]
-    return make_protocol(
-        "majority",
-        ("N", "Y", "0", "1"),
-        rules,
-        inputs={"0": "0", "1": "1"},
-        outputs={"N": 0, "Y": 1, "0": 1, "1": 0},
-    )
-
-
-def _pavlov_pd_protocol() -> Protocol:
-    rules = [
-        ("C", "D", "D", "D"),
-        ("D", "C", "D", "D"),
-        ("D", "D", "C", "C"),
-    ]
-    return make_protocol("pavlov-pd", ("C", "D"), rules)
-
-
-def _leader_game() -> Game:
-    return make_game(
-        "leader-game",
+# Every builtin, in listing order: its key, the constructor that builds it
+# and the arguments that follow the name, which is the key.  "pd" has no
+# arguments: `prisoners_dilemma` names its game and takes the settings
+# T/R/P/S/threshold, which no other builtin takes.
+_BUILTINS: dict[str, tuple] = {
+    # in or, and and weak-xor, input i starts in state i and state i outputs i
+    "or": (
+        make_protocol,
+        ("0", "1"),
+        [("0", "1", "1", "1"), ("1", "0", "1", "1")],
+        {"0": "0", "1": "1"},
+        {"0": 0, "1": 1},
+    ),
+    "and": (
+        make_protocol,
+        ("0", "1"),
+        [("0", "1", "0", "0"), ("1", "0", "0", "0")],
+        {"0": "0", "1": "1"},
+        {"0": 0, "1": 1},
+    ),
+    "weak-xor": (
+        make_protocol, ("0", "1"), [("1", "1", "0", "0")], {"0": "0", "1": "1"}, {"0": 0, "1": 1}
+    ),
+    "leader-classic": (make_protocol, ("L", "N"), [("L", "L", "L", "N")]),
+    "leader-pavlovian": (
+        make_protocol,
         ("L1", "L2", "N"),
-        ((1, 4, 1), (3, 1, 1), (2, 1, 4)),
-        4,
-    )
-
-
-def _majority_game() -> Game:
-    return make_game(
-        "majority-game",
+        [
+            ("L1", "L1", "L2", "L2"),
+            ("L1", "L2", "L1", "N"),
+            ("L1", "N", "N", "L2"),
+            ("L2", "L1", "N", "L1"),
+            ("L2", "L2", "L1", "L1"),
+            ("L2", "N", "N", "L1"),
+            ("N", "L1", "L2", "N"),
+            ("N", "L2", "L1", "N"),
+        ],
+    ),
+    "majority": (
+        make_protocol,
+        ("N", "Y", "0", "1"),
+        [
+            ("N", "Y", "Y", "Y"),
+            ("Y", "N", "Y", "Y"),
+            ("N", "0", "Y", "0"),
+            ("0", "N", "0", "Y"),
+            ("Y", "1", "N", "1"),
+            ("1", "Y", "1", "N"),
+            ("0", "1", "N", "Y"),
+            ("1", "0", "Y", "N"),
+        ],
+        {"0": "0", "1": "1"},
+        {"N": 0, "Y": 1, "0": 1, "1": 0},
+    ),
+    "pavlov-pd": (
+        make_protocol,
+        ("C", "D"),
+        [("C", "D", "D", "D"), ("D", "C", "D", "D"), ("D", "D", "C", "C")],
+    ),
+    "pd": (prisoners_dilemma,),
+    "leader-game": (make_game, ("L1", "L2", "N"), ((1, 4, 1), (3, 1, 1), (2, 1, 4)), 4),
+    "majority-game": (
+        make_game,
         ("N", "Y", "0", "1"),
         ((3, 1, 1, 3), (2, 3, 3, 1), (2, 2, 2, 1), (2, 2, 1, 2)),
         2,
-    )
-
-
-_FACTORIES = {
-    "or": _or_protocol,
-    "and": _and_protocol,
-    "weak-xor": _weak_xor_protocol,
-    "leader-classic": _leader_classic_protocol,
-    "leader-pavlovian": _leader_pavlovian_protocol,
-    "majority": _majority_protocol,
-    "pavlov-pd": _pavlov_pd_protocol,
-    "pd": prisoners_dilemma,
-    "leader-game": _leader_game,
-    "majority-game": _majority_game,
+    ),
 }
 
 
 def builtin_keys() -> tuple[str, ...]:
-    return tuple(_FACTORIES)
+    return tuple(_BUILTINS)
 
 
-def builtin(key: str, **kwargs) -> Protocol | Game:
-    """Fresh copy of a named protocol or game; `pd` takes T/R/P/S/threshold."""
-    factory = _FACTORIES.get(key)
-    if factory is None:
+def builtin(key: str, **settings) -> Protocol | Game:
+    """Fresh copy of a named protocol or game; `pd` takes T/R/P/S/threshold,
+    and any other builtin given a setting raises ProtocolError."""
+    entry = _BUILTINS.get(key)
+    if entry is None:
         raise ProtocolError(
-            f"unknown builtin {key!r}; known: {', '.join(sorted(_FACTORIES))}"
+            f"unknown builtin {key!r}; known: {', '.join(sorted(_BUILTINS))}"
         )
-    return factory(**kwargs)
+    build, *arguments = entry
+    if not arguments:
+        return build(**settings)
+    if settings:
+        raise ProtocolError(f"builtin {key!r} takes no settings")
+    return build(key, *arguments)
 
 
 def symmetrize(protocol: Protocol) -> Protocol:

@@ -12,7 +12,9 @@ Stop rules decide when a run counts as stabilized:
   - ("target", {state: count}): exact count vector reached,
   - None: run to max_steps,
   - any callable f(protocol, trace) -> bool, checked before every step on the
-    trace of count vectors seen so far.
+    count vectors seen so far.  `trace` is the run's own list, which grows by
+    one entry per step: the rule must not change it, and must copy what it
+    keeps past its call.
 
 A built-in stop rule is checked before the step budget, so max_steps=0 on a
 silent start reports stabilized with 0 steps; record_trace changes only the
@@ -90,11 +92,6 @@ class InteractionGraph:
             raise ProtocolError(
                 f"graph is not connected: vertex {apart} cannot be reached from vertex 0"
             )
-
-    @classmethod
-    def complete(cls, n: int) -> "InteractionGraph":
-        n = _checked_int(n, "vertex count")
-        return cls(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
     @classmethod
     def ring(cls, n: int) -> "InteractionGraph":
@@ -224,7 +221,7 @@ def run(
     chunk = 1 if stepwise else max_steps
     trace = [tuple(map(int, counts))] if stepwise else None
     steps = 0
-    stabilized = stop_rule is not None and stop_rule(protocol, tuple(trace))
+    stabilized = stop_rule is not None and stop_rule(protocol, trace)
     while not stabilized:
         done, stabilized, run_len, prev_out = kernel(
             *kernel_args, min(chunk, max_steps - steps), rng, run_len, prev_out
@@ -233,7 +230,7 @@ def run(
         if done and stepwise:
             trace.append(tuple(map(int, counts)))
             if stop_rule is not None:
-                stabilized = stop_rule(protocol, tuple(trace))
+                stabilized = stop_rule(protocol, trace)
         if steps >= max_steps:
             break
 

@@ -303,10 +303,6 @@ class ConfigGraph:
     succ: tuple[tuple[int, ...], ...]
     parent: tuple[int, ...]
 
-    @property
-    def root(self) -> tuple:
-        return self.configs[0]
-
     @cached_property
     def nodes(self) -> Mapping[tuple, tuple[tuple, ...]]:
         """Read-only view: each configuration and its successor configurations."""
@@ -342,14 +338,6 @@ class ConfigGraph:
     def _bottom_sccs(self) -> tuple[frozenset, ...]:
         configs = self.configs
         return tuple(frozenset([configs[v] for v in ids]) for ids in self._bottom_ids)
-
-    def path_to(self, node: tuple) -> tuple[tuple, ...]:
-        """The BFS-tree path from the root to `node`."""
-        try:
-            i = self.configs.index(tuple(node))
-        except ValueError:
-            raise ProtocolError(f"configuration {node} is not in the graph") from None
-        return self._path(i)
 
     def _path(self, i: int) -> tuple[tuple, ...]:
         """The BFS-tree path from the root to configuration id `i`."""
@@ -480,9 +468,6 @@ class Verdict:
     per_input: tuple[InputResult, ...]
     sizes: tuple[int, ...]
 
-    def failures(self) -> tuple[InputResult, ...]:
-        return tuple(r for r in self.per_input if not r.passed)
-
     def as_dict(self, protocol: Protocol) -> dict:
         return {
             "passed": self.passed,
@@ -604,21 +589,6 @@ def stably_computes(
     )
 
 
-@lru_cache(maxsize=16)
-def _input_cases(
-    expr: PredicateExpr, alphabet: tuple[str, ...], sizes: tuple[int, ...]
-) -> tuple[tuple[tuple[tuple[str, int], ...], tuple[int, ...], int], ...]:
-    """(input label, symbol counts, predicate value) for every input multiset
-    of each size, in order.  Cached: a search checks many candidates against
-    the same inputs."""
-    cases = []
-    for n in sizes:
-        for counts in _compositions(n, len(alphabet)):
-            label = tuple(zip(alphabet, counts))
-            cases.append((label, counts, eval_predicate(expr, dict(label))))
-    return tuple(cases)
-
-
 @lru_cache(maxsize=64)
 def _start_cases(
     expr: PredicateExpr,
@@ -627,19 +597,21 @@ def _start_cases(
     targets: tuple[int, ...],
     state_count: int,
 ) -> tuple[tuple[tuple[tuple[str, int], ...], Config, int, InputResult], ...]:
-    """`_input_cases` with each input's symbol counts placed on its initial
-    configuration (symbol i's agents start in state `targets[i]`) and with
-    the input's passing result, which every verdict on it shares.  Cached
-    per input map: a search attaches each of its k^|alphabet| input maps to
-    every dynamics in turn, 27 for k = 3 states over 3 symbols, which 64
-    entries hold without cycling; a miss re-reads `_input_cases`, which then
-    hits."""
+    """(input label, initial configuration, predicate value, passing result)
+    for every input multiset of each size, in order: symbol i's agents start
+    in state `targets[i]`, and every verdict on the input shares its passing
+    result.  Cached per input map: a search attaches each of its
+    k^|alphabet| input maps to every dynamics in turn, 27 for k = 3 states
+    over 3 symbols, which 64 entries hold without cycling."""
     cases = []
-    for label, counts, expected in _input_cases(expr, alphabet, sizes):
-        init = [0] * state_count
-        for q, c in zip(targets, counts):
-            init[q] += c
-        cases.append((label, tuple(init), expected, InputResult(label, True, None)))
+    for n in sizes:
+        for counts in _compositions(n, len(alphabet)):
+            label = tuple(zip(alphabet, counts))
+            init = [0] * state_count
+            for q, c in zip(targets, counts):
+                init[q] += c
+            expected = eval_predicate(expr, dict(label))
+            cases.append((label, tuple(init), expected, InputResult(label, True, None)))
     return tuple(cases)
 
 

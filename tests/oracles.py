@@ -153,6 +153,11 @@ def agent_full_graph(
     }
 
 
+def complete_edges(n: int) -> tuple[Pair, ...]:
+    """The undirected edges (u, v), u < v, of the complete graph on n vertices."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
 def oriented(edges) -> list[Pair]:
     """Both orientations of each undirected edge (u, v)."""
     return [pair for u, v in edges for pair in ((u, v), (v, u))]

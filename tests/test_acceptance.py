@@ -168,7 +168,7 @@ def test_criterion_04_stable_computation_to_n8():
         for key, predicate in cases:
             verdict = stably_computes(builtin(key), predicate, sizes)
             if not verdict.passed:
-                labels = [r.input_label() for r in verdict.failures()]
+                labels = [r.input_label() for r in verdict.per_input if not r.passed]
                 details.append(f"{key} vs {predicate}: fails on {labels}")
 
     run_criterion(
@@ -213,7 +213,7 @@ def test_criterion_06_leader_election_to_n7():
         protocol = builtin("leader-pavlovian")
         verdict = stable_leader(protocol, ("L1", "L2"), range(3, 8))
         if not verdict.passed:
-            labels = [r.input_label() for r in verdict.failures()]
+            labels = [r.input_label() for r in verdict.per_input if not r.passed]
             details.append(f"election fails on {labels}")
         pair = bottom_sccs(reachable(protocol, config_of(protocol, {"L1": 2})))
         if pair != [frozenset({(2, 0, 0), (0, 2, 0)})]:

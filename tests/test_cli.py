@@ -593,6 +593,11 @@ def test_builtin_bad_requests(capsys):
     assert "bad --set" in err
     code, _, err = run_cli(capsys, "builtin", "pd", "--set", "T")
     assert code == 2
+    # a bad value names the option and the setting, not a file position
+    code, _, err = run_cli(capsys, "builtin", "pd", "--set", "T=abc")
+    assert (code, err) == (2, "error: --set T: not a rational number: 'abc'\n")
+    code, _, err = run_cli(capsys, "builtin", "or", "--set", "T=3")
+    assert (code, err) == (2, "error: builtin 'or' takes no settings\n")
 
 
 # ---------------------------------------------------------------------------

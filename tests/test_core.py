@@ -262,6 +262,27 @@ def test_protocol_checks_its_maps_when_built_or_replaced():
             dataclasses.replace(good, **change)
 
 
+def test_protocol_refuses_a_rule_table_that_is_not_total():
+    """A rule table has exactly one key per ordered pair of state indices;
+    `Protocol(...)` and `dataclasses.replace` name the first missing pair or
+    an extra key, so no later reader meets a bare KeyError."""
+    total = complete({}, 2)
+    refused = [
+        ({}, "rule table misses the pair (0, 0)"),
+        ({(0, 0): total[(0, 0)], (1, 1): total[(1, 1)]}, "rule table misses the pair (0, 1)"),
+        ({**total, (2, 0): frozenset({(0, 0)})},
+         "rule table has the pair (2, 0), not a pair of states"),
+        ({**total, "ab": frozenset({(0, 0)})}, "rule table has the pair 'ab', not a pair of states"),
+    ]
+    good = Protocol(name="p", states=("a", "b"), rules=total)
+    for rules, message in refused:
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            Protocol(name="p", states=("a", "b"), rules=rules)
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            dataclasses.replace(good, rules=rules)
+    assert Protocol(name="none", states=(), rules={}).rules == {}
+
+
 def test_config_of_names_a_negative_state():
     with pytest.raises(ProtocolError, match="negative count for state 'Y'"):
         config_of(builtin("majority"), {"N": 3, "Y": -1})
@@ -282,7 +303,7 @@ def test_count_vectors_are_checked_alike_everywhere():
     for call, init, message in refused:
         with pytest.raises(ProtocolError, match=message):
             call(p, init)
-    assert [type(c) for c in reachable(p, (True, 2)).root] == [int, int]
+    assert [type(c) for c in reachable(p, (True, 2)).configs[0]] == [int, int]
 
 
 def test_rule_accumulation():

@@ -195,6 +195,44 @@ def test_parse_game_rational_entries():
     assert g.threshold == Fraction(1, 4)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    [
+        (parse_protocol, "protocol p\nstates a\nprotocol q\n", "duplicate protocol line", 3, 1),
+        (parse_protocol, "protocol p\nstates a\n  states b\n", "duplicate states line", 3, 3),
+        (parse_game, "game g\ngame h\n", "duplicate game line", 2, 1),
+        (parse_game, "game g\nstrategies C\nrow C: 1\nthreshold 1\nthreshold 2\n",
+         "duplicate threshold line", 5, 1),
+        (parse_graph_file, "vertices 2\nvertices 3\n", "duplicate vertices line", 2, 1),
+        (parse_protocol, "states a\n", "missing protocol line", 1, 1),
+        (parse_protocol, "protocol p\n", "missing states line", 1, 1),
+        (parse_game, "threshold 1\n", "missing game line", 1, 1),
+        (parse_game, "game g\nthreshold 1\n", "missing strategies line", 1, 1),
+        (parse_game, "game g\nstrategies C\nrow C: 1\n", "missing threshold line", 1, 1),
+        (parse_graph_file, "edge 0 1\n", "missing vertices line", 1, 1),
+        (parse_protocol, "protocol p\nstates a\nedge 0 1\n", "unknown keyword 'edge'", 3, 1),
+        (parse_game, "game g\n row\tC: 1\nrule a a -> a a\n", "row before strategies line",
+         2, 2),
+        (parse_game, "game g\nrule a a -> a a\n", "unknown keyword 'rule'", 2, 1),
+        (parse_graph_file, "vertices 2\n  states a\n", "unknown keyword 'states'", 2, 3),
+        (parse_protocol, "protocol p\nstates\n", "expected: states <name>+", 2, 1),
+        (parse_game, "game g\nstrategies\n", "expected: strategies <name>+", 2, 1),
+        (parse_protocol, "protocol p\nstates a b a\n", "duplicate state name", 2, 8),
+        (parse_game, "game g\nstrategies C D C\n", "duplicate strategy name", 2, 12),
+        (parse_protocol, "protocol p\nstates a b=c\n", "state name 'b=c' must be", 2, 10),
+        (parse_game, "game g\nstrategies C D=E\n", "strategy name 'D=E' must be", 2, 14),
+        (parse_protocol, "protocol\n", "expected: protocol <name>", 1, 1),
+        (parse_game, "game g h\n", "expected: game <name>", 1, 1),
+    ],
+)
+def test_the_three_formats_read_their_lines_alike(parse, text, message, line, column):
+    """Protocol, game and graph files refuse a repeated or missing line, an
+    unknown keyword and a bad name list with the same words, at its place."""
+    with pytest.raises(FormatError, match=message) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_game_errors():
     cases = [
         "strategies C D\nrow C: 1 2\nrow D: 3 4\nthreshold 1\n",

@@ -36,6 +36,16 @@ def test_unknown_key():
     assert "unknown builtin" in str(err.value)
 
 
+def test_only_pd_takes_settings():
+    for key in builtin_keys():
+        if key != "pd":
+            with pytest.raises(ProtocolError, match=f"builtin '{key}' takes no settings"):
+                builtin(key, T=3)
+    assert builtin("pd", T=5.5).payoff[1][0] == 5.5
+    with pytest.raises(TypeError, match="unexpected keyword argument 'X'"):
+        builtin("pd", X=1)
+
+
 def test_builtins_are_fresh_copies():
     a, b = builtin("or"), builtin("or")
     assert a == b and a is not b

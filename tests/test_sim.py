@@ -41,7 +41,7 @@ def test_graph_vertex_counts_must_be_integers():
         lambda: InteractionGraph(2.5, ((0, 1),)),
         lambda: InteractionGraph("2", ((0, 1),)),
         lambda: InteractionGraph.ring(2.5),
-        lambda: InteractionGraph.complete("3"),
+        lambda: InteractionGraph("3", oracles.complete_edges(3)),
     ):
         with pytest.raises(ProtocolError, match="vertex count must be an integer"):
             build()
@@ -67,7 +67,7 @@ def test_graph_edges_are_pairs_of_integers():
 
 
 def test_graph_constructors():
-    assert len(InteractionGraph.complete(5).edges) == 10
+    assert len(InteractionGraph(5, oracles.complete_edges(5)).edges) == 10
     assert len(InteractionGraph.ring(5).edges) == 5
     assert InteractionGraph.ring(2).edges == ((0, 1),)
     with pytest.raises(ProtocolError, match="vertex 3 cannot be reached"):
@@ -299,6 +299,25 @@ def test_callable_stop_sees_trace_prefix():
     assert capped.trace == full.trace[:6]
 
 
+def test_a_callable_stop_rule_sees_each_prefix_once():
+    """The rule is called before every step, on the configurations so far:
+    traces of length 1, 2, 3, ..., each a prefix of the recorded trace."""
+    seen = []
+
+    def record(protocol, trace):
+        seen.append((len(trace), trace[-1]))
+        return False
+
+    result = run(builtin("pavlov-pd"), {"D": 6}, seed=3, stop=record, max_steps=40,
+                 record_trace=True)
+    assert result.steps == 40
+    assert [length for length, _ in seen] == list(range(1, 42))
+    assert [last for _, last in seen] == list(result.trace)
+    assert dataclasses.replace(result, trace=None) == run(
+        builtin("pavlov-pd"), {"D": 6}, seed=3, stop=_never, max_steps=40
+    )
+
+
 def test_stop_silent_predicate():
     def silent(protocol, config):
         # the silent stop rule is checked before the step budget
@@ -411,7 +430,7 @@ def test_multiset_and_graph_modes_agree_in_distribution(kernels_warm):
     # same Markov chain on count vectors; compare 3-step outcome frequencies.
     maj = builtin("majority")
     start = {"0": 2, "1": 2}
-    g = InteractionGraph.complete(4)
+    g = InteractionGraph(4, oracles.complete_edges(4))
     trials = 12_000
     multiset = Counter(
         run(maj, start, seed=s, stop=None, max_steps=3).final_config

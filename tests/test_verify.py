@@ -263,8 +263,22 @@ def test_predicate_symbols():
 # reachability
 
 
+def tree_path(graph, config):
+    """The BFS-tree path from the root (id 0) to `config`, read from the
+    graph's `configs` and `parent` fields."""
+    path, i = [], graph.configs.index(config)
+    while i >= 0:
+        path.append(graph.configs[i])
+        i = graph.parent[i]
+    return tuple(reversed(path))
+
+
+def failures(verdict):
+    return [r for r in verdict.per_input if not r.passed]
+
+
 def assert_valid_path(graph, path):
-    assert path[0] == graph.root
+    assert path[0] == graph.configs[0]
     for a, b in zip(path, path[1:]):
         assert b in graph.nodes[a]
 
@@ -272,12 +286,12 @@ def assert_valid_path(graph, path):
 def test_reachable_or_three_configs():
     p = builtin("or")
     graph = reachable(p, initial_config(p, {"0": 2, "1": 1}))
-    assert graph.root == (2, 1)
+    assert graph.configs[0] == (2, 1)
     assert set(graph.nodes) == {(2, 1), (1, 2), (0, 3)}
     for node, succs in graph.nodes.items():
         assert set(succs) <= set(graph.nodes)
         assert all(sum(s) == 3 for s in succs)
-    assert graph.path_to((0, 3)) == ((2, 1), (1, 2), (0, 3))
+    assert tree_path(graph, (0, 3)) == ((2, 1), (1, 2), (0, 3))
 
 
 def test_reachable_identity_only_is_a_point():
@@ -291,7 +305,7 @@ def test_reachable_leader_flip():
     p = builtin("leader-pavlovian")
     graph = reachable(p, config_of(p, {"L1": 2, "N": 1}))
     assert (0, 2, 1) in graph.nodes
-    assert_valid_path(graph, graph.path_to((0, 2, 1)))
+    assert_valid_path(graph, tree_path(graph, (0, 2, 1)))
 
 
 def test_reachable_rejects_tiny_population():
@@ -341,14 +355,8 @@ def test_one_state_graph_is_its_root():
     one = make_protocol("one", ("a",), [])
     graph = reachable(one, (3,))
     assert graph.configs == ((3,),) and graph.parent == (-1,)
-    assert graph.root == (3,) and graph.path_to((3,)) == ((3,),)
+    assert tree_path(graph, (3,)) == ((3,),)
     assert bottom_sccs(graph) == [frozenset({(3,)})]
-
-
-def test_path_to_refuses_configurations_outside_the_graph():
-    graph = reachable(builtin("or"), (2, 1))
-    with pytest.raises(ProtocolError, match=r"configuration \(3, 0\) is not in the graph"):
-        graph.path_to((3, 0))
 
 
 @st.composite
@@ -399,7 +407,7 @@ def test_reachable_matches_agent_semantics(case):
     for config, succs in graph.nodes.items():
         assert list(succs) == projected[config]
     for config in graph.nodes:
-        path = graph.path_to(config)
+        path = tree_path(graph, config)
         assert path[0] == init and path[-1] == config
         assert all(b in projected[a] for a, b in zip(path, path[1:]))
     got = bottom_sccs(graph)
@@ -594,7 +602,7 @@ def test_weak_xor_fails_on_odd_ones():
     for result in verdict.per_input:
         ones = dict(result.input)["1"]
         assert result.passed == (ones % 2 == 0)
-    failure = verdict.failures()[0]
+    failure = failures(verdict)[0]
     cex = failure.counterexample
     assert cex.expected == 1
     assert cex.actual is None  # both output classes survive in the residue
@@ -604,7 +612,7 @@ def test_weak_xor_fails_on_odd_ones():
 def test_counterexample_path_is_an_execution():
     p = builtin("weak-xor")
     verdict = stably_computes(p, "n_1 mod 2 = 1", (5,))
-    for result in verdict.failures():
+    for result in failures(verdict):
         init = initial_config(p, dict(result.input))
         graph = reachable(p, init)
         cex = result.counterexample
@@ -720,11 +728,11 @@ def test_leader_counterexamples_count_each_leader_state_once():
     p = builtin("leader-pavlovian")
     for leaders in (("L1", "L2"), ("L1", "L2", "L1")):
         verdict = stable_leader(p, leaders, (2, 3))
-        for result in verdict.failures():
+        for result in failures(verdict):
             cex = result.counterexample
             assert cex.actual == cex.config[p.index("L1")] + cex.config[p.index("L2")]
             assert cex.actual != 1
-        assert {r.input_label() for r in verdict.failures()} == {"L1:2", "L2:2"}
+        assert {r.input_label() for r in failures(verdict)} == {"L1:2", "L2:2"}
 
 
 def test_stable_leader_refuses_a_repeated_initial_state():
@@ -757,8 +765,8 @@ def test_two_agent_leader_failure():
     p = builtin("leader-pavlovian")
     verdict = stable_leader(p, ("L1", "L2"), (2,))
     assert not verdict.passed
-    assert {r.input_label() for r in verdict.failures()} == {"L1:2", "L2:2"}
-    cex = verdict.failures()[0].counterexample
+    assert {r.input_label() for r in failures(verdict)} == {"L1:2", "L2:2"}
+    cex = failures(verdict)[0].counterexample
     assert cex.property == "leader-count"
     assert cex.actual == 2
     assert cex.config in {(2, 0, 0), (0, 2, 0)}
@@ -993,7 +1001,8 @@ def test_output_of_config_is_the_set_rule():
     for k in (1, 2, 3):
         states = tuple(f"q{i}" for i in range(k))
         for bits in itertools.product((0, 1), repeat=k):
-            protocol = Protocol(name="bits", states=states, rules={}, output_map=bits)
+            protocol = Protocol(name="bits", states=states, rules=complete({}, k),
+                                output_map=bits)
             for n in (0, 2, 3, 4, 5, 6):
                 for config in oracles.compositions(n, k):
                     want = oracles.config_output(bits, config)
