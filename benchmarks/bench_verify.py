@@ -27,8 +27,8 @@ counts: the verify verdict must pass, and the failing verdict's JSON (as
 `popgames verify` prints it), the pavcheck records and the search JSON must
 have the sha256 digests below.  The pavcheck records are one JSON line per
 dynamics, the witness or the refusal with its certificate, written as
-`tests/test_golden_exact.py` writes them; the digest is that file's
-"check_pavlovian 3 states all".
+`tests/oracles.py` writes them, over that file's dynamics in search order;
+the digest is `tests/golden_exact.json`'s "check_pavlovian 3 states all".
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
 import time
+from pathlib import Path
 
 from bench_sim import summary
 from popgames import (
@@ -116,39 +118,25 @@ def failing_workload(repeats: int) -> tuple[int, list[float]]:
     return configurations, times
 
 
-def three_state_dynamics() -> list[Protocol]:
-    k = 3
-    states = tuple(f"s{i}" for i in range(k))
-    off_pairs = [(q, r) for q in range(k) for r in range(q + 1, k)]
-    protocols = []
-    for diag in itertools.product(range(k), repeat=k):
-        for off in itertools.product(
-            itertools.product(range(k), repeat=2), repeat=len(off_pairs)
-        ):
-            rules = {(q, q): frozenset({(d, d)}) for q, d in enumerate(diag)}
-            for (q, r), (a, b) in zip(off_pairs, off):
-                rules[(q, r)] = frozenset({(a, b)})
-                rules[(r, q)] = frozenset({(b, a)})
-            protocols.append(Protocol(f"dyn-{len(protocols)}", states, rules))
-    return protocols
-
-
-def pavcheck_record(result) -> str:
-    if hasattr(result, "matrix"):
-        return json.dumps({"matrix": result.matrix, "threshold": result.threshold})
-    cert = result.certificate
-    return json.dumps({
-        "reason": result.reason,
-        "cycle": None if cert is None else cert.cycle,
-        "strict": None if cert is None else cert.strict_steps,
-    })
+def load_oracles():
+    """`tests/oracles.py`, loaded by path: the benchmarks are not a package."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pavcheck_workload(repeats: int) -> tuple[int, list[float]]:
-    protocols = three_state_dynamics()
+    oracles = load_oracles()
+    states = ("s0", "s1", "s2")
+    protocols = [
+        Protocol(f"dyn-{i}", states, rules)
+        for i, rules in enumerate(oracles.symmetric_tables(3))
+    ]
     times, results = timed(
         repeats, lambda: [check_pavlovian(p, EXACT) for p in protocols])
-    records = "\n".join(pavcheck_record(r) for r in results)
+    records = "\n".join(oracles.pavcheck_record(r) for r in results)
     digest = hashlib.sha256(records.encode("utf-8")).hexdigest()
     if digest != PAVCHECK_3STATE_SHA256:
         raise RuntimeError(

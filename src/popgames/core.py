@@ -35,32 +35,18 @@ Rules = dict[Pair, frozenset[Pair]]
 Config = tuple[int, ...]
 
 
-def _check_state(q: int, state_count: int) -> None:
-    if not (0 <= q < state_count):
-        raise ProtocolError(f"state index {q} out of range [0, {state_count})")
-
-
 def complete(rules: Mapping[Pair, Iterable[Pair]], state_count: int) -> Rules:
     """Totalize a transition relation over ordered state pairs.
 
     Pairs absent from `rules` map to themselves; explicitly listed pairs
-    keep their successor sets verbatim.  Empty explicit successor sets are
-    rejected, they cannot arise from rule listings.
+    keep their successors verbatim, as a frozenset of tuples.  The result
+    is checked as a `Protocol` checks its rule table (`_check_rules`).
     """
-    total: Rules = {}
-    for (q1, q2), succs in rules.items():
-        _check_state(q1, state_count)
-        _check_state(q2, state_count)
-        sset = frozenset((int(a), int(b)) for a, b in succs)
-        for a, b in sset:
-            _check_state(a, state_count)
-            _check_state(b, state_count)
-        if not sset:
-            raise ProtocolError(f"empty successor set for pair ({q1}, {q2})")
-        total[(q1, q2)] = sset
+    total: Rules = {pair: frozenset(map(tuple, succs)) for pair, succs in rules.items()}
     for q1 in range(state_count):
         for q2 in range(state_count):
             total.setdefault((q1, q2), frozenset({(q1, q2)}))
+    _check_rules(range(state_count), total)
     return total
 
 
@@ -68,6 +54,28 @@ def complete(rules: Mapping[Pair, Iterable[Pair]], state_count: int) -> Rules:
 def _state_pairs(state_count: int) -> frozenset[Pair]:
     """Every ordered pair of state indices: the keys of a total rule table."""
     return frozenset((q1, q2) for q1 in range(state_count) for q2 in range(state_count))
+
+
+def _check_rules(states: Sequence, rules: Mapping) -> None:
+    """Refuse repeated state names, keys other than the ordered pairs of state
+    indices, and a value that is not a non-empty set of such pairs."""
+    if len(set(states)) != len(states):
+        raise ProtocolError(f"duplicate state names in {tuple(states)}")
+    pairs = _state_pairs(len(states))
+    if rules.keys() != pairs:
+        missing = pairs - rules.keys()
+        if missing:
+            raise ProtocolError(f"rule table misses the pair {min(missing)}")
+        extra = min(map(repr, rules.keys() - pairs))
+        raise ProtocolError(f"rule table has the pair {extra}, not a pair of states")
+    for pair, succs in rules.items():
+        if not isinstance(succs, (frozenset, set)):
+            raise ProtocolError(f"rule table maps the pair {pair} to {succs!r}, not a set")
+        if not succs:
+            raise ProtocolError(f"rule table maps the pair {pair} to no successor")
+        if not succs <= pairs:
+            bad = min(map(repr, succs - pairs))
+            raise ProtocolError(f"rule table maps the pair {pair} to {bad}, not a pair of states")
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,8 @@ class Protocol:
     carry no input/output attachment until one is supplied explicitly.  An
     output map holds one int, 0 or 1, per state; an input map binds exactly
     the symbols of `input_alphabet` (none without a map) to state indices.
-    Building a protocol, `dataclasses.replace` too, checks the rule table's
-    keys and both maps.
+    Building a protocol, `dataclasses.replace` too, checks the state names
+    (none repeated), the whole rule table (`_check_rules`) and both maps.
     """
 
     name: str
@@ -91,14 +99,8 @@ class Protocol:
     output_map: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _check_rules(self.states, self.rules)
         n = len(self.states)
-        pairs = _state_pairs(n)
-        if self.rules.keys() != pairs:
-            missing = pairs - self.rules.keys()
-            if missing:
-                raise ProtocolError(f"rule table misses the pair {min(missing)}")
-            extra = sorted(map(repr, self.rules.keys() - pairs))
-            raise ProtocolError(f"rule table has the pair {extra[0]}, not a pair of states")
         inputs = self.input_map or {}
         for sym in inputs:
             if sym not in self.input_alphabet:
@@ -192,11 +194,10 @@ def make_protocol(
     Repeated rules for one ordered pair accumulate into a successor set.
     The rule table is identity-completed; `inputs` and `outputs` are
     attached and checked by `attach_io`.  The name and the state names must
-    pass `check_name`, so that `print_protocol` writes text that parses back.
+    pass `check_name`, and no state repeat, so that `print_protocol` writes
+    text that parses back.
     """
     state_tab = tuple(states)
-    if len(set(state_tab)) != len(state_tab):
-        raise ProtocolError(f"duplicate state names in {state_tab}")
     if not state_tab:
         raise ProtocolError("a protocol needs at least one state")
     check_name(name, "protocol name", bindable=False)
@@ -400,7 +401,8 @@ def histogram(protocol: Protocol, vertex_states: Iterable[int]) -> Config:
     """Count vector of a per-vertex state assignment."""
     counts = [0] * protocol.state_count
     for q in vertex_states:
-        _check_state(q, protocol.state_count)
+        if not 0 <= q < len(counts):
+            raise ProtocolError(f"state index {q} out of range [0, {len(counts)})")
         counts[q] += 1
     return tuple(counts)
 

@@ -101,6 +101,10 @@ def builtin(key: str, **settings) -> Protocol | Game:
         )
     build, *arguments = entry
     if not arguments:
+        takes = build.__code__.co_varnames[: build.__code__.co_argcount]
+        unknown = [name for name in settings if name not in takes]
+        if unknown:
+            raise TypeError(f"no setting {unknown[0]!r}; {key} takes {', '.join(takes)}")
         return build(**settings)
     if settings:
         raise ProtocolError(f"builtin {key!r} takes no settings")

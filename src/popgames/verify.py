@@ -477,14 +477,19 @@ class Verdict:
         }
 
 
-def _compositions(n: int, k: int):
-    """All k-part count vectors summing to n, lexicographic."""
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, k - 1):
-            yield (head, *rest)
+def _starts(names: Sequence[str], targets: Sequence[int], sizes: Iterable[int], state_count: int):
+    """(label, initial configuration) for every multiset of `names` of each
+    size, counts in lexicographic order; name i's agents start in state
+    `targets[i]`, and the label pairs each name with its count."""
+    k = len(names)
+    for n in sizes:
+        # the k - 1 bars among n + k - 1 slots cut n agents into k counts
+        for bars in itertools.combinations(range(n + k - 1), k - 1):
+            counts = [b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k - 1))]
+            init = [0] * state_count
+            for q, c in zip(targets, counts):
+                init[q] += c
+            yield tuple(zip(names, counts)), tuple(init)
 
 
 def _check_sizes(sizes: Iterable[int]) -> tuple[int, ...]:
@@ -603,16 +608,10 @@ def _start_cases(
     result.  Cached per input map: a search attaches each of its
     k^|alphabet| input maps to every dynamics in turn, 27 for k = 3 states
     over 3 symbols, which 64 entries hold without cycling."""
-    cases = []
-    for n in sizes:
-        for counts in _compositions(n, len(alphabet)):
-            label = tuple(zip(alphabet, counts))
-            init = [0] * state_count
-            for q, c in zip(targets, counts):
-                init[q] += c
-            expected = eval_predicate(expr, dict(label))
-            cases.append((label, tuple(init), expected, InputResult(label, True, None)))
-    return tuple(cases)
+    return tuple(
+        (label, init, eval_predicate(expr, dict(label)), InputResult(label, True, None))
+        for label, init in _starts(alphabet, targets, sizes, state_count)
+    )
 
 
 def stable_leader(
@@ -635,19 +634,14 @@ def stable_leader(
         raise ProtocolError(f"no start has a leader: none of {list(pool)} is a leader")
     sizes = _check_sizes(sizes)
 
-    def cases():
-        for n in sizes:
-            for pool_counts in _compositions(n, len(pool)):
-                init = [0] * protocol.state_count
-                for i, c in zip(pool_idx, pool_counts):
-                    init[i] += c
-                if sum(init[i] for i in leader_idx) >= 1:
-                    label = tuple(zip(pool, pool_counts))
-                    yield label, tuple(init), 1, InputResult(label, True, None)
-
+    cases = (
+        (label, init, 1, InputResult(label, True, None))
+        for label, init in _starts(pool, pool_idx, sizes, protocol.state_count)
+        if any(init[i] for i in leader_idx)
+    )
     return _check_bottoms(
         protocol,
-        cases(),
+        cases,
         lambda config: sum(config[i] for i in leader_idx),
         "leader-count",
         sizes,

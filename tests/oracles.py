@@ -18,12 +18,16 @@ Contents:
     also as a check on a recorded trace;
   * threshold win-stay/lose-shift derivation pair by pair, and the order
     comparisons a symmetric protocol places on a game, as plain variable
-    pairs.
+    pairs;
+  * every symmetric deterministic rule table in the exhaustive search's
+    order, and the one-line JSON record of a Pavlovian check's result that
+    pinned digests are taken over.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 Pair = tuple[int, int]
@@ -445,3 +449,36 @@ def comparison_system(rules: RuleTable, k: int, exact: bool) -> tuple[set, set]:
                     if exact and z != q1 and z not in firsts:
                         strict.add((("M", z, q2), ("M", s, q2)))
     return nonstrict, strict
+
+
+# ---------------------------------------------------------------------------
+# The search's dynamics and the records of their Pavlovian checks.
+
+
+def symmetric_tables(k: int):
+    """Every symmetric deterministic k-state rule table, in the search's
+    (diagonal, off-diagonal) enumeration order."""
+    off_pairs = [(q, r) for q in range(k) for r in range(q + 1, k)]
+    for diag in itertools.product(range(k), repeat=k):
+        for off in itertools.product(
+            itertools.product(range(k), repeat=2), repeat=len(off_pairs)
+        ):
+            rules = {(q, q): frozenset({(d, d)}) for q, d in enumerate(diag)}
+            for (q, r), (a, b) in zip(off_pairs, off):
+                rules[(q, r)] = frozenset({(a, b)})
+                rules[(r, q)] = frozenset({(b, a)})
+            yield rules
+
+
+def pavcheck_record(result) -> str:
+    """One JSON line for a Pavlovian check's result: the witness's matrix
+    and threshold, or the refusal's reason with its certificate's cycle and
+    strict steps."""
+    if hasattr(result, "matrix"):
+        return json.dumps({"matrix": result.matrix, "threshold": result.threshold})
+    cert = result.certificate
+    return json.dumps({
+        "reason": result.reason,
+        "cycle": None if cert is None else cert.cycle,
+        "strict": None if cert is None else cert.strict_steps,
+    })

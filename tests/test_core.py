@@ -46,9 +46,9 @@ def test_complete_idempotent():
 
 
 def test_complete_rejects_out_of_range():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match=re.escape("has the pair (0, 5), not a pair of states")):
         complete({(0, 5): {(0, 0)}}, 2)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match=re.escape("maps the pair (0, 1) to (0, 9), not a pair")):
         complete({(0, 1): {(0, 9)}}, 2)
 
 
@@ -263,9 +263,12 @@ def test_protocol_checks_its_maps_when_built_or_replaced():
 
 
 def test_protocol_refuses_a_rule_table_that_is_not_total():
-    """A rule table has exactly one key per ordered pair of state indices;
-    `Protocol(...)` and `dataclasses.replace` name the first missing pair or
-    an extra key, so no later reader meets a bare KeyError."""
+    """A rule table has exactly one key per ordered pair of state indices,
+    each mapped to a non-empty set of such pairs; `Protocol(...)` and
+    `dataclasses.replace` name the first missing pair, an extra key or the
+    pair with a bad successor set, so no later reader meets a bare KeyError
+    or steps to a state that does not exist.  `complete` refuses a bad
+    successor set with the same message, and state names may not repeat."""
     total = complete({}, 2)
     refused = [
         ({}, "rule table misses the pair (0, 0)"),
@@ -274,12 +277,28 @@ def test_protocol_refuses_a_rule_table_that_is_not_total():
          "rule table has the pair (2, 0), not a pair of states"),
         ({**total, "ab": frozenset({(0, 0)})}, "rule table has the pair 'ab', not a pair of states"),
     ]
+    bad_successors = [
+        ({**total, (0, 0): frozenset()}, "rule table maps the pair (0, 0) to no successor"),
+        ({**total, (0, 1): frozenset({(1, 0), (0, 7)})},
+         "rule table maps the pair (0, 1) to (0, 7), not a pair of states"),
+        ({**total, (1, 0): frozenset({(1,)})},
+         "rule table maps the pair (1, 0) to (1,), not a pair of states"),
+    ]
     good = Protocol(name="p", states=("a", "b"), rules=total)
-    for rules, message in refused:
+    for rules, message in refused + bad_successors:
         with pytest.raises(ProtocolError, match=re.escape(message)):
             Protocol(name="p", states=("a", "b"), rules=rules)
         with pytest.raises(ProtocolError, match=re.escape(message)):
             dataclasses.replace(good, rules=rules)
+    for rules, message in bad_successors:
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            complete(rules, 2)
+    with pytest.raises(ProtocolError, match=re.escape("rule table maps the pair (0, 0) to")):
+        Protocol(name="p", states=("a", "b"), rules={**total, (0, 0): ((0, 0),)})
+    with pytest.raises(ProtocolError, match=re.escape("duplicate state names in ('a', 'a')")):
+        Protocol(name="p", states=("a", "a"), rules=total)
+    with pytest.raises(ProtocolError, match=re.escape("duplicate state names in ('a', 'a')")):
+        dataclasses.replace(good, states=("a", "a"))
     assert Protocol(name="none", states=(), rules={}).rules == {}
 
 

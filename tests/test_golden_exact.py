@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from popgames import (
     ALL_TIES,
     Protocol,
@@ -43,40 +44,12 @@ def cli_stdout(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-def symmetric_dynamics(k: int):
-    """Every symmetric deterministic k-state rule table, in the search's
-    (diagonal, off-diagonal) enumeration order."""
-    off_pairs = [(q, r) for q in range(k) for r in range(q + 1, k)]
-    for diag in itertools.product(range(k), repeat=k):
-        for off in itertools.product(
-            itertools.product(range(k), repeat=2), repeat=len(off_pairs)
-        ):
-            rules = {(q, q): frozenset({(d, d)}) for q, d in enumerate(diag)}
-            for (q, r), (a, b) in zip(off_pairs, off):
-                rules[(q, r)] = frozenset({(a, b)})
-                rules[(r, q)] = frozenset({(b, a)})
-            yield rules
-
-
-def record(result) -> str:
-    """One JSON line: the witness, or the refusal with its certificate cycle
-    and strict steps."""
-    if hasattr(result, "matrix"):
-        return json.dumps({"matrix": result.matrix, "threshold": result.threshold})
-    cert = result.certificate
-    return json.dumps({
-        "reason": result.reason,
-        "cycle": None if cert is None else cert.cycle,
-        "strict": None if cert is None else cert.strict_steps,
-    })
-
-
 def pavlovian_records(k: int, stride: int) -> str:
     """The exact-mode record of every `stride`-th k-state dynamics."""
     states = tuple(f"s{i}" for i in range(k))
     return "\n".join(
-        record(check_pavlovian(Protocol(f"dyn-{i}", states, rules), EXACT))
-        for i, rules in enumerate(symmetric_dynamics(k))
+        oracles.pavcheck_record(check_pavlovian(Protocol(f"dyn-{i}", states, rules), EXACT))
+        for i, rules in enumerate(oracles.symmetric_tables(k))
         if i % stride == 0
     )
 
@@ -97,7 +70,8 @@ def tie_records() -> str:
     """The default-mode record of each tie game's `ALL_TIES` derivation:
     subset mode wherever a tie leaves a nondeterministic rule."""
     return "\n".join(
-        record(check_pavlovian(derive_protocol(g, ALL_TIES))) for g in tie_games()
+        oracles.pavcheck_record(check_pavlovian(derive_protocol(g, ALL_TIES)))
+        for g in tie_games()
     )
 
 

@@ -42,7 +42,7 @@ def test_only_pd_takes_settings():
             with pytest.raises(ProtocolError, match=f"builtin '{key}' takes no settings"):
                 builtin(key, T=3)
     assert builtin("pd", T=5.5).payoff[1][0] == 5.5
-    with pytest.raises(TypeError, match="unexpected keyword argument 'X'"):
+    with pytest.raises(TypeError, match=r"^no setting 'X'; pd takes T, R, P, S, threshold$"):
         builtin("pd", X=1)
 
 

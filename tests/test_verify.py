@@ -856,25 +856,12 @@ def test_bottom_sccs_match_per_agent_reference():
                 assert got == want, (protocol.name, init)
 
 
-def symmetric_tables(k):
-    """Every symmetric deterministic rule table on k states, in the order
-    `iter_search_pavlovian` enumerates them."""
-    pairs = [(q, r) for q in range(k) for r in range(q + 1, k)]
-    for diag in itertools.product(range(k), repeat=k):
-        for off in itertools.product(itertools.product(range(k), repeat=2), repeat=len(pairs)):
-            rules = {(q, q): frozenset({(d, d)}) for q, d in enumerate(diag)}
-            for (q, r), (a, b) in zip(pairs, off):
-                rules[(q, r)] = frozenset({(a, b)})
-                rules[(r, q)] = frozenset({(b, a)})
-            yield rules
-
-
 def search_2state_candidates():
     """Every candidate of `search --states 2 --alphabet 0,1,2`: each
     symmetric deterministic rule table on two states, with each input map
     and each output map."""
     alphabet = ("0", "1", "2")
-    for rules in symmetric_tables(2):
+    for rules in oracles.symmetric_tables(2):
         for iota in itertools.product(range(2), repeat=len(alphabet)):
             for omega in itertools.product((0, 1), repeat=2):
                 yield Protocol(
@@ -980,7 +967,7 @@ def test_3state_verdicts_match_the_per_agent_semantics():
     and 1 on states 0 and 1, under every output map: these graphs often
     hold several bottom SCCs, so the scan order shows."""
     graphs = {}
-    for rules in itertools.islice(symmetric_tables(3), 0, None, 199):
+    for rules in itertools.islice(oracles.symmetric_tables(3), 0, None, 199):
         for omega in itertools.product((0, 1), repeat=3):
             protocol = Protocol(
                 name="sample",
