@@ -2,7 +2,7 @@
 
     python3 benchmarks/bench_verify.py [--repeats 3]
 
-Four workloads, each timed `--repeats` times after its inputs are built.
+Five workloads, each timed `--repeats` times after its inputs are built.
 Each reports its rate at the best repeat and at the median, with the rates
 at the quartiles of the repeats' times: on a shared host single repeats
 swing widely, and the quartiles show how far a change has to move the
@@ -18,14 +18,17 @@ median to be seen.
   search    popgames search --states 3 --predicate "n_1 >= 1" --sizes 2..4
             --json, in candidates per second (472,392 candidates; about 20 s
             per repeat)
+  search-01 the same search with --alphabet 0,1 --budget 2000000, in
+            candidates per second (1,417,176 candidates, 2,682 findings;
+            about 30 s per repeat)
 
 `reachable` keeps the graphs of the last move table it explored, so before
 each timed verify or failing repeat the benchmark explores another protocol
 (or, from one start), which empties that memo: every repeat explores all
 21,489 configurations again.  Each answer is checked before its time
 counts: the verify verdict must pass, and the failing verdict's JSON (as
-`popgames verify` prints it), the pavcheck records and the search JSON must
-have the sha256 digests below.  The pavcheck records are one JSON line per
+`popgames verify` prints it), the pavcheck records and each search's JSON
+must have the sha256 digests below.  The pavcheck records are one JSON line per
 dynamics, the witness or the refusal with its certificate, written as
 `tests/oracles.py` writes them, over that file's dynamics in search order;
 the digest is `tests/golden_exact.json`'s "check_pavlovian 3 states all".
@@ -65,6 +68,9 @@ PAVCHECK_3STATE_SHA256 = "0522e907e878c580df27cd46ecbe9d5332e6bd6ca4a8d0589aa7aa
 SEARCH_3STATE = ["search", "--states", "3", "--predicate", "n_1 >= 1",
                  "--sizes", "2..4", "--json"]
 SEARCH_3STATE_SHA256 = "7b9fda9015b7e49fa8799737d60279b136a8becca6455c1c7c2092967eed81eb"
+SEARCH_ALPHABET_01 = ["search", "--states", "3", "--predicate", "n_1 >= 1", "--sizes", "2..4",
+                      "--alphabet", "0,1", "--budget", "2000000", "--json"]
+SEARCH_ALPHABET_01_SHA256 = "590eef8d9ca81a393af7079d4f40ee01e543f8fb6efac58943b0a1317cd79f8c"
 
 
 def timed(repeats: int, work, before=None) -> tuple[list[float], object]:
@@ -144,18 +150,28 @@ def pavcheck_workload(repeats: int) -> tuple[int, list[float]]:
     return len(protocols), times
 
 
-def search_workload(repeats: int) -> tuple[int, list[float]]:
+def time_search(argv: list[str], expected_sha256: str, alphabet_size: int, repeats: int):
+    """The candidates of the 3-state search `popgames argv`, over an alphabet
+    of `alphabet_size` symbols, and the repeats' times."""
     def search() -> str:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            popgames_main(SEARCH_3STATE)
+            popgames_main(argv)
         return out.getvalue()
 
     times, output = timed(repeats, search)
     digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
-    if digest != SEARCH_3STATE_SHA256:
-        raise RuntimeError(f"search JSON has sha256 {digest}, expected {SEARCH_3STATE_SHA256}")
-    return candidate_count(3, 1), times
+    if digest != expected_sha256:
+        raise RuntimeError(f"search JSON has sha256 {digest}, expected {expected_sha256}")
+    return candidate_count(3, alphabet_size), times
+
+
+def search_workload(repeats: int) -> tuple[int, list[float]]:
+    return time_search(SEARCH_3STATE, SEARCH_3STATE_SHA256, 1, repeats)
+
+
+def search_alphabet_01_workload(repeats: int) -> tuple[int, list[float]]:
+    return time_search(SEARCH_ALPHABET_01, SEARCH_ALPHABET_01_SHA256, 2, repeats)
 
 
 def main() -> None:
@@ -173,6 +189,7 @@ def main() -> None:
         ("failing", "configurations", failing_workload),
         ("pavcheck", "protocols", pavcheck_workload),
         ("search", "candidates", search_workload),
+        ("search-01", "candidates", search_alphabet_01_workload),
     ):
         work, times = workload(args.repeats)
         stats = summary(times)

@@ -214,8 +214,8 @@ def attach_io(protocol: Protocol, inputs: str | None, outputs: str | None) -> Pr
     bit = {"0": 0, "1": 1}
     return core.attach_io(
         protocol,
-        pairs(inputs) if inputs else None,
-        [(state, bit.get(b, b)) for state, b in pairs(outputs)] if outputs else None,
+        None if inputs is None else pairs(inputs),
+        None if outputs is None else [(state, bit.get(b, b)) for state, b in pairs(outputs)],
     )
 
 
@@ -232,13 +232,13 @@ def cmd_derive(args) -> int:
 
 
 def _resolve_init(args, protocol: Protocol) -> tuple:
-    given = [spec for spec in (args.input, args.init_states) if spec]
+    given = [spec for spec in (args.input, args.init_states) if spec is not None]
     if len(given) != 1:
         raise ProtocolError("exactly one of --input / --init-states is required")
     all_of = (args.init_states or "").startswith("all-")
     if all_of != (args.size is not None):
         raise ProtocolError("--size applies only to --init-states all-<state>, which needs it")
-    if args.input:
+    if args.input is not None:
         counts = _parse_counts(args.input, "--input")
         return initial_config(protocol, counts)
     spec = args.init_states
@@ -287,7 +287,7 @@ def cmd_simulate(args) -> int:
         stop=stop,
     )
     csv_text = _csv_rows(report)
-    if args.csv:
+    if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_text)
     else:
@@ -324,16 +324,16 @@ def cmd_verify(args) -> int:
     protocol = parse_protocol(_read(args.file))
     sizes = _parse_sizes(args.sizes)
     budget = resolve_budget(args)
-    given = [spec for spec in (args.predicate, args.leaders) if spec]
+    given = [spec for spec in (args.predicate, args.leaders) if spec is not None]
     if len(given) != 1:
         raise ProtocolError("exactly one of --predicate / --leaders is required")
-    if args.initial_states is not None and not args.leaders:
+    if args.initial_states is not None and args.leaders is None:
         raise ProtocolError("--initial-states applies only with --leaders")
-    if args.predicate:
+    if args.predicate is not None:
         verdict = stably_computes(protocol, args.predicate, sizes, budget)
     else:
         leaders = tuple(args.leaders.split(","))
-        pool = tuple(args.initial_states.split(",")) if args.initial_states else None
+        pool = None if args.initial_states is None else tuple(args.initial_states.split(","))
         verdict = stable_leader(protocol, leaders, sizes, pool, budget)
     return _print_verdict(args, protocol, verdict)
 
@@ -355,7 +355,7 @@ def cmd_symmetrize(args) -> int:
 def cmd_search(args) -> int:
     budget = resolve_budget(args)
     sizes = _parse_sizes(args.sizes)
-    alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
+    alphabet = None if args.alphabet is None else tuple(args.alphabet.split(","))
     findings = []
     for protocol, witness in iter_search_pavlovian(
         args.states,

@@ -58,7 +58,8 @@ def _state_pairs(state_count: int) -> frozenset[Pair]:
 
 def _check_rules(states: Sequence, rules: Mapping) -> None:
     """Refuse repeated state names, keys other than the ordered pairs of state
-    indices, and a value that is not a non-empty set of such pairs."""
+    indices, and a value that is not a non-empty set of such pairs.  A state
+    index is an `int`: a float or a bool equal to one is refused."""
     if len(set(states)) != len(states):
         raise ProtocolError(f"duplicate state names in {tuple(states)}")
     pairs = _state_pairs(len(states))
@@ -69,6 +70,9 @@ def _check_rules(states: Sequence, rules: Mapping) -> None:
         extra = min(map(repr, rules.keys() - pairs))
         raise ProtocolError(f"rule table has the pair {extra}, not a pair of states")
     for pair, succs in rules.items():
+        q1, q2 = pair
+        if type(q1) is not int or type(q2) is not int:
+            raise ProtocolError(f"rule table has the pair {pair}, not a pair of states")
         if not isinstance(succs, (frozenset, set)):
             raise ProtocolError(f"rule table maps the pair {pair} to {succs!r}, not a set")
         if not succs:
@@ -76,6 +80,11 @@ def _check_rules(states: Sequence, rules: Mapping) -> None:
         if not succs <= pairs:
             bad = min(map(repr, succs - pairs))
             raise ProtocolError(f"rule table maps the pair {pair} to {bad}, not a pair of states")
+        for a, b in succs:
+            if type(a) is not int or type(b) is not int:
+                raise ProtocolError(
+                    f"rule table maps the pair {pair} to {(a, b)}, not a pair of states"
+                )
 
 
 @dataclass(frozen=True)
@@ -391,6 +400,12 @@ def output_of_config(protocol: Protocol, config: Config) -> int | None:
         raise ProtocolError(f"protocol {protocol.name!r} has no output map")
     if len(config) != len(bits):
         raise ProtocolError(f"configuration {config} needs one count per state")
+    return _output_of_counts(bits, config)
+
+
+def _output_of_counts(bits: Sequence[int], config: Config) -> int | None:
+    """`output_of_config`'s rule on the output bits `bits`, one per state of
+    `config`, which the caller has checked."""
     ones = sum(compress(config, bits))
     if ones == 0:
         return 0 if any(config) else None

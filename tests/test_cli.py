@@ -604,6 +604,29 @@ def test_builtin_bad_requests(capsys):
 # wiring
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("search", "--states", "2", "--predicate", "n_1 >= 1", "--sizes", "2..3",
+      "--alphabet", ""), "input symbol ''"),
+    (("verify", "or.txt", "--predicate", "n_1 >= 1", "--leaders", ""),
+     "exactly one of --predicate / --leaders is required"),
+    (("verify", "lp.txt", "--leaders", "L1", "--initial-states", ""), "unknown state ''"),
+    (("simulate", "or.txt", "--input", "0:2,1:1", "--csv", ""), "such file or directory: ''"),
+    (("simulate", "or.txt", "--input", ""), "--input must look like a:2,b:1, got ''"),
+    (("simulate", "or.txt", "--init-states", ""),
+     "--init-states must look like a:2,b:1, got ''"),
+    (("derive", "pd.txt", "--inputs", ""), "input symbol ''"),
+    (("derive", "pd.txt", "--outputs", ""), "output for unknown state ''"),
+])
+def test_an_empty_option_is_refused_not_read_as_absent(tmp_path, capsys, argv, message):
+    protocol_file(tmp_path, builtin("or"), "or.txt")
+    protocol_file(tmp_path, builtin("leader-pavlovian"), "lp.txt")
+    game_file(tmp_path, builtin("pd"), "pd.txt")
+    argv = [str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert message in err, argv
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["simulate"]) == 2

@@ -267,8 +267,9 @@ def test_protocol_refuses_a_rule_table_that_is_not_total():
     each mapped to a non-empty set of such pairs; `Protocol(...)` and
     `dataclasses.replace` name the first missing pair, an extra key or the
     pair with a bad successor set, so no later reader meets a bare KeyError
-    or steps to a state that does not exist.  `complete` refuses a bad
-    successor set with the same message, and state names may not repeat."""
+    or steps to a state that does not exist.  A state index is an int, not
+    a float or bool equal to one.  `complete` refuses a bad key or successor
+    set with the same message, and state names may not repeat."""
     total = complete({}, 2)
     refused = [
         ({}, "rule table misses the pair (0, 0)"),
@@ -276,6 +277,9 @@ def test_protocol_refuses_a_rule_table_that_is_not_total():
         ({**total, (2, 0): frozenset({(0, 0)})},
          "rule table has the pair (2, 0), not a pair of states"),
         ({**total, "ab": frozenset({(0, 0)})}, "rule table has the pair 'ab', not a pair of states"),
+        # equal to (0, 1) and hashed alike, so only its type tells it apart
+        ({(0.0, 1) if pair == (0, 1) else pair: succs for pair, succs in total.items()},
+         "rule table has the pair (0.0, 1), not a pair of states"),
     ]
     bad_successors = [
         ({**total, (0, 0): frozenset()}, "rule table maps the pair (0, 0) to no successor"),
@@ -283,6 +287,10 @@ def test_protocol_refuses_a_rule_table_that_is_not_total():
          "rule table maps the pair (0, 1) to (0, 7), not a pair of states"),
         ({**total, (1, 0): frozenset({(1,)})},
          "rule table maps the pair (1, 0) to (1,), not a pair of states"),
+        ({**total, (0, 1): frozenset({(1.0, 1)})},
+         "rule table maps the pair (0, 1) to (1.0, 1), not a pair of states"),
+        ({**total, (1, 0): frozenset({(True, 1)})},
+         "rule table maps the pair (1, 0) to (True, 1), not a pair of states"),
     ]
     good = Protocol(name="p", states=("a", "b"), rules=total)
     for rules, message in refused + bad_successors:
@@ -293,6 +301,8 @@ def test_protocol_refuses_a_rule_table_that_is_not_total():
     for rules, message in bad_successors:
         with pytest.raises(ProtocolError, match=re.escape(message)):
             complete(rules, 2)
+    with pytest.raises(ProtocolError, match=re.escape("has the pair (0.0, 1), not a pair")):
+        complete({(0.0, 1): {(1, 1)}}, 2)
     with pytest.raises(ProtocolError, match=re.escape("rule table maps the pair (0, 0) to")):
         Protocol(name="p", states=("a", "b"), rules={**total, (0, 0): ((0, 0),)})
     with pytest.raises(ProtocolError, match=re.escape("duplicate state names in ('a', 'a')")):

@@ -585,6 +585,110 @@ def test_threads_alternating_dynamics_get_their_own_answers():
 
 
 # ---------------------------------------------------------------------------
+# each graph's first bottom violation, kept per (measure, expected value)
+
+
+FIVE_STATES = Protocol("five", tuple("abcde"), complete({}, 5))
+
+
+def explore_elsewhere():
+    """Explore a 5-state protocol, whose move table no drawn or builtin
+    protocol below has, so that `reachable` explores their graphs afresh."""
+    reachable(FIVE_STATES, (2, 0, 0, 0, 0))
+
+
+@st.composite
+def protocols_with_inputs(draw):
+    """A `random_protocols` protocol, deterministic or not, with input
+    symbols 0 and 1 bound to drawn states and no output map."""
+    protocol = draw(random_protocols())
+    state = st.integers(0, protocol.state_count - 1)
+    return dataclasses.replace(
+        protocol, input_alphabet=("0", "1"), input_map={"0": draw(state), "1": draw(state)}
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(protocols_with_inputs())
+def test_verdicts_on_checked_graphs_match_fresh_verdicts_and_the_oracle(protocol):
+    """Every output map under two predicates, one after another on shared
+    graphs: each verdict's JSON equals the verdict's on freshly explored
+    graphs, and it passes on exactly the inputs whose per-agent bottom SCCs
+    carry the predicate's value throughout."""
+    sizes = (2, 3, 4)
+    k = protocol.state_count
+    bottoms = {}  # input label -> the per-agent bottom SCCs, as count vectors
+    for n in sizes:
+        for counts in oracles.compositions(n, 2):
+            label = tuple(zip(("0", "1"), counts))
+            agents = tuple(protocol.input_map[s] for s, c in label for _ in range(c))
+            graph = oracles.agent_reachable(protocol.rules, agents)
+            bottoms[label] = [
+                [oracles.counts_of(node, k) for node in comp]
+                for comp in oracles.bottom_sccs_of(graph)
+            ]
+    payloads = {}
+    for predicate in ("n_1 >= 1", "n_0 > n_1"):
+        expr = parse_predicate(predicate)
+        for bits in itertools.product((0, 1), repeat=k):
+            attached = dataclasses.replace(protocol, output_map=bits)
+            verdict = stably_computes(attached, expr, sizes)
+            payloads[bits, predicate] = verdict.as_dict(attached)
+            assert {r.input: r.passed for r in verdict.per_input} == {
+                label: all(
+                    oracles.config_output(bits, config) == eval_predicate(expr, dict(label))
+                    for comp in comps
+                    for config in comp
+                )
+                for label, comps in bottoms.items()
+            }
+    for (bits, predicate), payload in payloads.items():
+        attached = dataclasses.replace(protocol, output_map=bits)
+        explore_elsewhere()
+        assert stably_computes(attached, predicate, sizes).as_dict(attached) == payload
+
+
+def test_leader_and_output_checks_of_one_graph_get_their_own_answers():
+    """From any start with a 1, or ends with every agent in state 1: its
+    output is 1, as n_1 >= 1 expects, but its count of leader state 1 is n,
+    not 1.  Both checks expect 1 on the same graphs, and neither reads the
+    other's answer, in either order."""
+    p = builtin("or")
+    sizes = (2, 3, 4)
+    explore_elsewhere()
+    fresh_leader = stable_leader(p, ["1"], sizes)
+    explore_elsewhere()
+    fresh_output = stably_computes(p, "n_1 >= 1", sizes)
+    assert fresh_output.passed and not fresh_leader.passed
+    for result in fresh_leader.per_input:
+        cex = result.counterexample
+        assert cex.property == "leader-count"
+        assert cex.actual == sum(dict(result.input).values())
+    for _ in range(2):
+        assert stably_computes(p, "n_1 >= 1", sizes) == fresh_output
+        assert stable_leader(p, ["1"], sizes) == fresh_leader
+
+
+def test_a_failing_input_on_a_checked_graph_shares_its_counterexample():
+    """weak-xor fails n_1 mod 2 = 1 on odd counts of 1.  Checking its graphs
+    again with the same output map and expected values, under another
+    protocol name, hands back the same Counterexample objects; the other
+    expected value gets its own."""
+    p = builtin("weak-xor")
+    sizes = (3, 4, 5)
+    first = stably_computes(p, "n_1 mod 2 = 1", sizes)
+    again = stably_computes(dataclasses.replace(p, name="weak-xor-again"), "n_1 mod 2 = 1", sizes)
+    assert failures(first)
+    assert first == again
+    for a, b in zip(first.per_input, again.per_input):
+        assert a.counterexample is b.counterexample
+    flipped = stably_computes(p, "n_1 mod 2 = 0", sizes)
+    for a, b in zip(first.per_input, flipped.per_input):
+        if not a.passed and not b.passed:
+            assert (a.counterexample.expected, b.counterexample.expected) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
 # stable computation
 
 
