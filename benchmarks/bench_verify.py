@@ -1,12 +1,17 @@
 """Time the exact-verification, Pavlovian-check and search layers in-process.
 
-    python3 benchmarks/bench_verify.py [--repeats 3]
+    python3 benchmarks/bench_verify.py [--repeats 3] [--workload NAME ...]
+    python3 benchmarks/bench_verify.py --child NAME
 
-Five workloads, each timed `--repeats` times after its inputs are built.
-Each reports its rate at the best repeat and at the median, with the rates
-at the quartiles of the repeats' times: on a shared host single repeats
-swing widely, and the quartiles show how far a change has to move the
-median to be seen.
+Five workloads, each timed `--repeats` times.  Every repeat runs in its own
+interpreter: the script re-runs itself with `--child NAME`, which builds the
+workload's inputs, times one call, checks its answer and prints one JSON
+line, {"work": ..., "seconds": ...}: processes of one tree differ from one
+another by more than one process's repeats do.  Each workload reports its
+rate at the best repeat and at the median, with the rates at the quartiles
+of the repeats' times: on a shared host single repeats swing widely, and
+the quartiles show how far a change has to move the median to be seen.
+`--workload` (repeatable) runs only the named workloads.
 
   verify    stably_computes(symmetrize(majority), "n_0 >= n_1", sizes 2..10),
             in configurations explored per second (21,489 configurations)
@@ -16,16 +21,17 @@ median to be seen.
   pavcheck  check_pavlovian (exact mode) on every symmetric deterministic
             3-state dynamics (19,683), in protocols per second
   search    popgames search --states 3 --predicate "n_1 >= 1" --sizes 2..4
-            --json, in candidates per second (472,392 candidates; about 20 s
-            per repeat)
+            --json, in candidates per second (472,392 candidates; about 7 s
+            per repeat on a shared 2-CPU VM)
   search-01 the same search with --alphabet 0,1 --budget 2000000, in
             candidates per second (1,417,176 candidates, 2,682 findings;
-            about 30 s per repeat)
+            about 22 s per repeat there)
 
-`reachable` keeps the graphs of the last move table it explored, so before
-each timed verify or failing repeat the benchmark explores another protocol
-(or, from one start), which empties that memo: every repeat explores all
-21,489 configurations again.  Each answer is checked before its time
+`reachable` keeps the graphs of the last move table it explored, and
+counting the verify and failing workloads' configurations fills that memo,
+so before the timed call the benchmark explores another protocol (or, from
+one start), which empties it: every repeat explores all 21,489
+configurations again.  Each answer is checked before its time
 counts: the verify verdict must pass, and the failing verdict's JSON (as
 `popgames verify` prints it), the pavcheck records and each search's JSON
 must have the sha256 digests below.  The pavcheck records are one JSON line per
@@ -43,6 +49,8 @@ import importlib.util
 import io
 import itertools
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -73,23 +81,17 @@ SEARCH_ALPHABET_01 = ["search", "--states", "3", "--predicate", "n_1 >= 1", "--s
 SEARCH_ALPHABET_01_SHA256 = "590eef8d9ca81a393af7079d4f40ee01e543f8fb6efac58943b0a1317cd79f8c"
 
 
-def timed(repeats: int, work, before=None) -> tuple[list[float], object]:
-    """The seconds of each of `repeats` calls of `work`, each after an
-    untimed `before()` when one is given, and the last call's result."""
-    times, result = [], None
-    for _ in range(repeats):
-        if before is not None:
-            before()
-        t0 = time.perf_counter()
-        result = work()
-        times.append(time.perf_counter() - t0)
-    return times, result
+def timed(work) -> tuple[float, object]:
+    """The seconds of one call of `work`, and its result."""
+    t0 = time.perf_counter()
+    result = work()
+    return time.perf_counter() - t0, result
 
 
-def time_verdict(predicate: str, repeats: int):
+def time_verdict(predicate: str):
     """Configurations explored by stably_computes(symmetrize(majority),
-    `predicate`, sizes 2..10), the repeats' times, the protocol and the
-    verdict."""
+    `predicate`, sizes 2..10), the seconds of one verdict, the protocol and
+    the verdict."""
     protocol = symmetrize(builtin("majority"))
     alphabet = protocol.input_alphabet
     configurations = 0
@@ -98,30 +100,26 @@ def time_verdict(predicate: str, repeats: int):
             if sum(counts) == n:
                 start = initial_config(protocol, dict(zip(alphabet, counts)))
                 configurations += len(reachable(protocol, start).configs)
-    other = builtin("or")
-    times, verdict = timed(
-        repeats,
-        lambda: stably_computes(protocol, predicate, VERIFY_SIZES),
-        before=lambda: reachable(other, (1, 1)),
-    )
-    return configurations, times, protocol, verdict
+    reachable(builtin("or"), (1, 1))
+    seconds, verdict = timed(lambda: stably_computes(protocol, predicate, VERIFY_SIZES))
+    return configurations, seconds, protocol, verdict
 
 
-def verify_workload(repeats: int) -> tuple[int, list[float]]:
-    configurations, times, _, verdict = time_verdict(PREDICATE, repeats)
+def verify_workload() -> tuple[int, float]:
+    configurations, seconds, _, verdict = time_verdict(PREDICATE)
     if not verdict.passed:
         raise RuntimeError("symmetrized majority failed its predicate")
-    return configurations, times
+    return configurations, seconds
 
 
-def failing_workload(repeats: int) -> tuple[int, list[float]]:
-    configurations, times, protocol, verdict = time_verdict(FAILING_PREDICATE, repeats)
+def failing_workload() -> tuple[int, float]:
+    configurations, seconds, protocol, verdict = time_verdict(FAILING_PREDICATE)
     text = json.dumps(verdict.as_dict(protocol), indent=2)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != FAILING_VERDICT_SHA256:
         raise RuntimeError(
             f"failing verdict has sha256 {digest}, expected {FAILING_VERDICT_SHA256}")
-    return configurations, times
+    return configurations, seconds
 
 
 def load_oracles():
@@ -133,66 +131,89 @@ def load_oracles():
     return module
 
 
-def pavcheck_workload(repeats: int) -> tuple[int, list[float]]:
+def pavcheck_workload() -> tuple[int, float]:
     oracles = load_oracles()
     states = ("s0", "s1", "s2")
     protocols = [
         Protocol(f"dyn-{i}", states, rules)
         for i, rules in enumerate(oracles.symmetric_tables(3))
     ]
-    times, results = timed(
-        repeats, lambda: [check_pavlovian(p, EXACT) for p in protocols])
+    seconds, results = timed(lambda: [check_pavlovian(p, EXACT) for p in protocols])
     records = "\n".join(oracles.pavcheck_record(r) for r in results)
     digest = hashlib.sha256(records.encode("utf-8")).hexdigest()
     if digest != PAVCHECK_3STATE_SHA256:
         raise RuntimeError(
             f"pavcheck records have sha256 {digest}, expected {PAVCHECK_3STATE_SHA256}")
-    return len(protocols), times
+    return len(protocols), seconds
 
 
-def time_search(argv: list[str], expected_sha256: str, alphabet_size: int, repeats: int):
+def time_search(argv: list[str], expected_sha256: str, alphabet_size: int):
     """The candidates of the 3-state search `popgames argv`, over an alphabet
-    of `alphabet_size` symbols, and the repeats' times."""
+    of `alphabet_size` symbols, and the seconds of one search."""
     def search() -> str:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             popgames_main(argv)
         return out.getvalue()
 
-    times, output = timed(repeats, search)
+    seconds, output = timed(search)
     digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
     if digest != expected_sha256:
         raise RuntimeError(f"search JSON has sha256 {digest}, expected {expected_sha256}")
-    return candidate_count(3, alphabet_size), times
+    return candidate_count(3, alphabet_size), seconds
 
 
-def search_workload(repeats: int) -> tuple[int, list[float]]:
-    return time_search(SEARCH_3STATE, SEARCH_3STATE_SHA256, 1, repeats)
+def search_workload() -> tuple[int, float]:
+    return time_search(SEARCH_3STATE, SEARCH_3STATE_SHA256, 1)
 
 
-def search_alphabet_01_workload(repeats: int) -> tuple[int, list[float]]:
-    return time_search(SEARCH_ALPHABET_01, SEARCH_ALPHABET_01_SHA256, 2, repeats)
+def search_alphabet_01_workload() -> tuple[int, float]:
+    return time_search(SEARCH_ALPHABET_01, SEARCH_ALPHABET_01_SHA256, 2)
+
+
+WORKLOADS = {
+    "verify": ("configurations", verify_workload),
+    "failing": ("configurations", failing_workload),
+    "pavcheck": ("protocols", pavcheck_workload),
+    "search": ("candidates", search_workload),
+    "search-01": ("candidates", search_alphabet_01_workload),
+}
+
+
+def run_child(name: str) -> tuple[int, float]:
+    """The work and the seconds of one repeat of workload `name`, run by
+    this script in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", name], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} repeat failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["work"], result["seconds"]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--workload", action="append", choices=list(WORKLOADS),
+                        help="run only this workload (repeatable)")
+    parser.add_argument("--child", choices=list(WORKLOADS),
+                        help="time one repeat of this workload here and print it as JSON")
     args = parser.parse_args()
+    if args.child is not None:
+        work, seconds = WORKLOADS[args.child][1]()
+        print(json.dumps({"work": work, "seconds": seconds}))
+        return
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(f"{args.repeats} repeats: work per second at the best repeat, the median,"
-          " and the quartiles")
+    print(f"{args.repeats} repeats, one interpreter each: work per second at the best"
+          " repeat, the median, and the quartiles")
     print(f"{'workload':<10} {'work':>8} {'best s':>8} {'best':>10} {'median':>10}"
           f" {'quartiles':>21}")
-    for name, unit, workload in (
-        ("verify", "configurations", verify_workload),
-        ("failing", "configurations", failing_workload),
-        ("pavcheck", "protocols", pavcheck_workload),
-        ("search", "candidates", search_workload),
-        ("search-01", "candidates", search_alphabet_01_workload),
-    ):
-        work, times = workload(args.repeats)
-        stats = summary(times)
+    for name in args.workload or WORKLOADS:
+        unit = WORKLOADS[name][0]
+        runs = [run_child(name) for _ in range(args.repeats)]
+        work = runs[0][0]
+        stats = summary([seconds for _, seconds in runs])
         best, median, q1, q3 = (work / stats[key] for key in ("best", "median", "q3", "q1"))
         print(f"{name:<10} {work:>8} {stats['best']:>8.3f} {best:>10,.0f} {median:>10,.0f}"
               f" {q1:>10,.0f}-{q3:<10,.0f} {unit}/s")

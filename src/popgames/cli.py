@@ -20,6 +20,7 @@ command's entry point before calling `main`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -277,21 +278,23 @@ def cmd_simulate(args) -> int:
     graph = _resolve_graph(args, population)
     stop = _parse_stop(args.stop)
     max_steps = DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
-    report = monte_carlo(
-        protocol,
-        init,
-        graph=graph,
-        trials=args.trials,
-        seed=args.seed,
-        max_steps=max_steps,
-        stop=stop,
-    )
-    csv_text = _csv_rows(report)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_text)
+    # the CSV path is opened before the trials, so one that cannot be
+    # written fails at once, not after the whole run
+    if args.csv is None:
+        csv_out = contextlib.nullcontext(sys.stdout)
     else:
-        sys.stdout.write(csv_text)
+        csv_out = open(args.csv, "w", encoding="utf-8", newline="")
+    with csv_out as handle:
+        report = monte_carlo(
+            protocol,
+            init,
+            graph=graph,
+            trials=args.trials,
+            seed=args.seed,
+            max_steps=max_steps,
+            stop=stop,
+        )
+        handle.write(_csv_rows(report))
     summary = {
         "protocol": protocol.name,
         "population": population,

@@ -46,7 +46,7 @@ def complete(rules: Mapping[Pair, Iterable[Pair]], state_count: int) -> Rules:
     for q1 in range(state_count):
         for q2 in range(state_count):
             total.setdefault((q1, q2), frozenset({(q1, q2)}))
-    _check_rules(range(state_count), total)
+    _check_rules(state_count, total)
     return total
 
 
@@ -56,13 +56,11 @@ def _state_pairs(state_count: int) -> frozenset[Pair]:
     return frozenset((q1, q2) for q1 in range(state_count) for q2 in range(state_count))
 
 
-def _check_rules(states: Sequence, rules: Mapping) -> None:
-    """Refuse repeated state names, keys other than the ordered pairs of state
+def _check_rules(state_count: int, rules: Mapping) -> None:
+    """Refuse keys other than the ordered pairs of `state_count` state
     indices, and a value that is not a non-empty set of such pairs.  A state
     index is an `int`: a float or a bool equal to one is refused."""
-    if len(set(states)) != len(states):
-        raise ProtocolError(f"duplicate state names in {tuple(states)}")
-    pairs = _state_pairs(len(states))
+    pairs = _state_pairs(state_count)
     if rules.keys() != pairs:
         missing = pairs - rules.keys()
         if missing:
@@ -87,6 +85,93 @@ def _check_rules(states: Sequence, rules: Mapping) -> None:
                 )
 
 
+_UNSET = object()
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a protocol's rule table is read-only; copy it with dict(...) to change it")
+
+
+class _RuleTable(dict):
+    """A rule table that `_check_rules` has passed for `state_count` states,
+    as a read-only mapping that protocols share.
+
+    `Protocol` makes one from the rules it is given and keeps it as
+    `rules`; a protocol built on such a table for the same state count, by
+    `dataclasses.replace`, `attach_io` or the search's attachments, skips the
+    rule check.  What depends on the rules alone is kept here, computed on
+    first use, so every protocol built on one table shares one object of
+    each: the move table (`moves`) and the mirror scan (`mirror_missing`).
+    Two threads that meet an empty slot at once each store an equal value.
+
+    Every mutating method raises TypeError.  Calling the type gives a plain
+    `dict`, as `dataclasses.asdict` does when it copies a protocol; pickling
+    and copying rebuild a checked table.
+    """
+
+    __slots__ = ("state_count", "_moves", "_mirror")
+
+    def __new__(cls, *args, **kwargs):
+        return dict(*args, **kwargs)
+
+    @classmethod
+    def _checked(cls, rules: Mapping, state_count: int) -> _RuleTable:
+        """`rules` checked (`_check_rules`) and copied into a new table."""
+        _check_rules(state_count, rules)
+        table = dict.__new__(cls)
+        dict.update(table, rules)
+        table.state_count = state_count
+        table._moves = table._mirror = _UNSET
+        return table
+
+    def __reduce__(self):
+        return _RuleTable._checked, (dict(self), self.state_count)
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = pop = popitem = clear = setdefault = _read_only
+
+    def moves(self) -> tuple[tuple[int, int, int, bool, tuple[Config, ...]], ...]:
+        """`Protocol.moves` of every protocol built on this table."""
+        if self._moves is _UNSET:
+            k = self.state_count
+            table = []
+            for q1 in range(k):
+                for q2 in range(q1, k):
+                    keeps = False
+                    deltas = set()
+                    for a, b in self[(q1, q2)] | self[(q2, q1)]:
+                        if sorted((a, b)) == [q1, q2]:
+                            keeps = True
+                            continue
+                        delta = [0] * k
+                        delta[q1] -= 1
+                        delta[q2] -= 1
+                        delta[a] += 1
+                        delta[b] += 1
+                        deltas.add(tuple(delta))
+                    need = 2 if q1 == q2 else 1
+                    table.append((q1, q2, need, keeps, tuple(sorted(deltas))))
+            self._moves = tuple(table)
+        return self._moves
+
+    def mirror_missing(self) -> tuple[int, int, int, int] | None:
+        """`symmetry_violation` of every protocol built on this table."""
+        if self._mirror is _UNSET:
+            self._mirror = _first_unmirrored(self)
+        return self._mirror
+
+
+def _first_unmirrored(rules: Rules) -> tuple[int, int, int, int] | None:
+    """The first (q1, q2, a, b), in table order, whose mirror (q2, q1, b, a)
+    `rules` lacks; None if there is none."""
+    for (q1, q2), succs in rules.items():
+        mirrored = rules[(q2, q1)]
+        for a, b in succs:
+            if (b, a) not in mirrored:
+                return (q1, q2, a, b)
+    return None
+
+
 @dataclass(frozen=True)
 class Protocol:
     """A population protocol with a completed (total) transition relation.
@@ -97,7 +182,11 @@ class Protocol:
     output map holds one int, 0 or 1, per state; an input map binds exactly
     the symbols of `input_alphabet` (none without a map) to state indices.
     Building a protocol, `dataclasses.replace` too, checks the state names
-    (none repeated), the whole rule table (`_check_rules`) and both maps.
+    (none repeated), the rule table and both maps.  The rule table is
+    checked (`_check_rules`) and kept as a read-only `_RuleTable`, which
+    refuses every change; a protocol built on another protocol's `rules`
+    for as many states checks only its names and maps, and shares that
+    table and what is kept on it (`moves`, `symmetry_violation`).
     """
 
     name: str
@@ -108,8 +197,12 @@ class Protocol:
     output_map: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _check_rules(self.states, self.rules)
         n = len(self.states)
+        if len(set(self.states)) != n:
+            raise ProtocolError(f"duplicate state names in {tuple(self.states)}")
+        rules = self.rules
+        if type(rules) is not _RuleTable or rules.state_count != n:
+            object.__setattr__(self, "rules", _RuleTable._checked(rules, n))
         inputs = self.input_map or {}
         for sym in inputs:
             if sym not in self.input_alphabet:
@@ -149,27 +242,10 @@ class Protocol:
         agent in q1 and `need` agents (2 when q1 = q2, else 1) in q2.  `keeps`
         says that an identity or swap successor leaves the configuration as
         it is; `deltas` are the other successors' count changes, distinct
-        and sorted.
+        and sorted.  It depends on the rules alone, so every protocol built
+        on one rule table shares one move table, the same object.
         """
-        k = len(self.states)
-        table = []
-        for q1 in range(k):
-            for q2 in range(q1, k):
-                keeps = False
-                deltas = set()
-                for a, b in self.rules[(q1, q2)] | self.rules[(q2, q1)]:
-                    if sorted((a, b)) == [q1, q2]:
-                        keeps = True
-                        continue
-                    delta = [0] * k
-                    delta[q1] -= 1
-                    delta[q2] -= 1
-                    delta[a] += 1
-                    delta[b] += 1
-                    deltas.add(tuple(delta))
-                need = 2 if q1 == q2 else 1
-                table.append((q1, q2, need, keeps, tuple(sorted(deltas))))
-        return tuple(table)
+        return self.rules.moves()
 
     @cached_property
     def _kernel_tables(self) -> tuple:
@@ -179,16 +255,6 @@ class Protocol:
         from . import _kernels
 
         return _kernels._tables(self)
-
-    @cached_property
-    def _mirror_missing(self) -> tuple[int, int, int, int] | None:
-        """`symmetry_violation`'s answer, computed once per protocol."""
-        for (q1, q2), succs in self.rules.items():
-            mirrored = self.rules[(q2, q1)]
-            for a, b in succs:
-                if (b, a) not in mirrored:
-                    return (q1, q2, a, b)
-        return None
 
 
 def make_protocol(
@@ -302,8 +368,10 @@ def is_symmetric(protocol: Protocol) -> bool:
 
 
 def symmetry_violation(protocol: Protocol) -> tuple[int, int, int, int] | None:
-    """Return a tuple (q1, q2, q1', q2') whose mirror is missing, or None."""
-    return protocol._mirror_missing
+    """Return a tuple (q1, q2, q1', q2') whose mirror is missing, or None:
+    the first in the rule table's order.  The scan runs once per rule table
+    and is shared by every protocol built on it."""
+    return protocol.rules.mirror_missing()
 
 
 def initial_config(protocol: Protocol, input_multiset: Mapping[str, int]) -> Config:
@@ -348,7 +416,16 @@ def _checked_int(value, what: str, minimum: int | None = None) -> int:
 def _checked_config(protocol: Protocol, counts: Sequence) -> Config:
     """`counts`, one per state, as a configuration of at least 2 agents:
     each count a Python int (by `operator.index`, so 2.5 is refused rather
-    than truncated) and none negative; else ProtocolError."""
+    than truncated) and none negative; else ProtocolError.  An exact tuple
+    of exact non-negative ints of the right length and sum, the form every
+    configuration here takes, is returned as it is."""
+    if type(counts) is tuple and len(counts) == len(protocol.states):
+        for c in counts:
+            if type(c) is not int or c < 0:
+                break
+        else:
+            if sum(counts) >= 2:
+                return counts
     try:
         config = tuple(map(operator.index, counts))
     except TypeError:

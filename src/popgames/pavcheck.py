@@ -419,7 +419,7 @@ def _is_cross_product(protocol: Protocol) -> tuple[int, int, int, int] | None:
 # The last answer of `check_pavlovian` and its key, as one tuple that is
 # read and replaced whole, so concurrent callers never pair one key with
 # another's answer.
-_last_check: tuple = (None, None)
+_last_check: tuple = (None, None, None, None)
 
 
 def check_pavlovian(
@@ -434,21 +434,24 @@ def check_pavlovian(
     returned witness is re-derived and compared before being handed out.
 
     The answer depends only on the states, the rule table and the mode, so
-    the last one is kept: checking the same dynamics again, with any input
-    and output maps, returns it at once.
+    the last one is kept: checking a protocol built on the same rule table
+    (`Protocol.rules`) again, with any input and output maps, returns it at
+    once.
     """
     global _last_check
     if mode is None:
         mode = default_mode(protocol)
     if mode not in (EXACT, SUBSET):
         raise ProtocolError(f"unknown check mode {mode!r}")
-    key = (protocol.states, tuple(protocol.rules.items()), mode)
-    last_key, last_answer = _last_check
-    if last_key == key:
+    # the table is matched by identity: equal tables may list their pairs
+    # in another order, and a refusal names the first violation in it
+    rules, states = protocol.rules, protocol.states
+    last_rules, last_states, last_mode, last_answer = _last_check
+    if last_rules is rules and last_mode == mode and last_states == states:
         return last_answer
 
     answer = _check(protocol, mode)
-    _last_check = (key, answer)
+    _last_check = (rules, states, mode, answer)
     return answer
 
 

@@ -37,6 +37,7 @@ from .core import (
     Config,
     Protocol,
     ProtocolError,
+    _RuleTable,
     _checked_config,
     _checked_int,
     _output_of_counts,
@@ -411,7 +412,7 @@ def reachable(protocol: Protocol, init: Config, budget: int = DEFAULT_BUDGET) ->
     init = _checked_config(protocol, init)
     moves = protocol.moves
     memo = _explored
-    if memo.moves != moves:
+    if memo.moves is not moves and memo.moves != moves:
         memo = _explored = _Explored(moves)
     graph = memo.graphs.get(init)
     if graph is None:
@@ -735,13 +736,15 @@ def iter_search_pavlovian(
             for (q, r), (a, b) in zip(off_pairs, off):
                 rules[(q, r)] = frozenset({(a, b)})
                 rules[(r, q)] = frozenset({(b, a)})
+            # checked once here, then shared by every attachment
+            table = _RuleTable._checked(rules, k)
             for iota in itertools.product(range(k), repeat=len(alphabet)):
                 for omega in itertools.product((0, 1), repeat=k):
                     index += 1
                     protocol = Protocol(
                         name=f"search-{k}s-{index}",
                         states=states,
-                        rules=dict(rules),
+                        rules=table,
                         input_alphabet=alphabet,
                         input_map=dict(zip(alphabet, iota)),
                         output_map=tuple(omega),

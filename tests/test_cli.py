@@ -214,6 +214,22 @@ def test_simulate_stdout_mixes_csv_and_summary(tmp_path, capsys):
     assert summary["trials"] == 2
 
 
+@pytest.mark.parametrize("csv_path", ["", "missing/out.csv"])
+def test_simulate_opens_the_csv_path_before_the_trials(tmp_path, capsys, monkeypatch, csv_path):
+    from popgames import cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("monte_carlo ran before the CSV path was opened")
+
+    monkeypatch.setattr(cli, "monte_carlo", no_trials)
+    path = protocol_file(tmp_path, builtin("or"))
+    target = str(tmp_path / csv_path) if csv_path else csv_path
+    code, out, err = run_cli(
+        capsys, "simulate", path, "--input", "0:2,1:1", "--csv", target)
+    assert (code, out) == (2, "")
+    assert "No such file or directory" in err
+
+
 def test_simulate_on_graphs(tmp_path, capsys):
     path = protocol_file(tmp_path, builtin("pavlov-pd"))
     code, _, _ = run_cli(
